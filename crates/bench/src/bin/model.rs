@@ -26,63 +26,14 @@ use std::env;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use peas_bench::cli::{corpus_dir, load_corpus, select};
 use peas_bench::model_gate::{expected_rule, model_cfg, parse_trace, rule_of};
 use peas_model::{emit_peas, explore, replay, shrink_nodes, shrink_trace, FoundViolation};
 use peas_scenario::{load_compiled, CompiledScenario};
 
-fn corpus_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
-}
-
 /// Where shrunk counterexamples are written.
 fn emit_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/model")
-}
-
-/// Loads every scenario that has a `[model]` section, sorted by name.
-fn load_model_corpus(dir: &Path) -> Result<Vec<(String, CompiledScenario)>, String> {
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
-        .map_err(|e| format!("cannot read {}: {e}", dir.display()))?
-        .filter_map(Result::ok)
-        .map(|entry| entry.path())
-        .filter(|p| p.extension().is_some_and(|ext| ext == "peas"))
-        .collect();
-    paths.sort();
-    let mut corpus = Vec::new();
-    for path in paths {
-        let stem = path
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        let compiled = load_compiled(&path).map_err(|e| e.to_string())?;
-        if compiled.model.is_some() {
-            corpus.push((stem, compiled));
-        }
-    }
-    Ok(corpus)
-}
-
-fn select(
-    corpus: Vec<(String, CompiledScenario)>,
-    names: &[String],
-) -> Result<Vec<(String, CompiledScenario)>, String> {
-    if names.is_empty() || names.iter().any(|n| n == "all") {
-        return Ok(corpus);
-    }
-    let mut selected = Vec::new();
-    for name in names {
-        match corpus.iter().find(|(stem, _)| stem == name) {
-            Some(found) => selected.push(found.clone()),
-            None => {
-                let known: Vec<&str> = corpus.iter().map(|(s, _)| s.as_str()).collect();
-                return Err(format!(
-                    "unknown model scenario `{name}` (known: {})",
-                    known.join(", ")
-                ));
-            }
-        }
-    }
-    Ok(selected)
 }
 
 /// Shrinks a found violation and writes the replayable counterexample.
@@ -244,14 +195,17 @@ fn main() -> ExitCode {
     let ok = match (command, file) {
         ("replay", Some(path)) => cmd_replay_file(&path),
         (command, None) => {
-            let corpus = match load_model_corpus(&corpus_dir()) {
-                Ok(corpus) => corpus,
+            let corpus = match load_corpus(&corpus_dir()) {
+                Ok(corpus) => corpus
+                    .into_iter()
+                    .filter(|(_, c)| c.model.is_some())
+                    .collect(),
                 Err(e) => {
                     eprintln!("error: {e}");
                     return ExitCode::FAILURE;
                 }
             };
-            let selected = match select(corpus, &names) {
+            let selected = match select(corpus, &names, "model scenario") {
                 Ok(selected) => selected,
                 Err(e) => {
                     eprintln!("error: {e}");

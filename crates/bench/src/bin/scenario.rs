@@ -21,64 +21,14 @@ use std::env;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use peas_bench::cli::{corpus_dir, load_corpus, select};
 use peas_bench::model_gate::model_snapshot;
-use peas_scenario::{first_divergence, load_compiled, CompiledScenario, Snapshot};
+use peas_scenario::{first_divergence, CompiledScenario, Snapshot};
 use peas_sim::{encode_report, Runner};
-
-/// The scenario corpus directory, anchored at the workspace root so the
-/// binary works from any working directory.
-fn corpus_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
-}
 
 /// Where a scenario's golden snapshot lives.
 fn golden_path(dir: &Path, name: &str) -> PathBuf {
     dir.join("golden").join(format!("{name}.golden"))
-}
-
-/// Loads the whole corpus (sorted by file name for deterministic order).
-fn load_corpus(dir: &Path) -> Result<Vec<(String, CompiledScenario)>, String> {
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
-        .map_err(|e| format!("cannot read {}: {e}", dir.display()))?
-        .filter_map(Result::ok)
-        .map(|entry| entry.path())
-        .filter(|p| p.extension().is_some_and(|ext| ext == "peas"))
-        .collect();
-    paths.sort();
-    let mut corpus = Vec::with_capacity(paths.len());
-    for path in paths {
-        let stem = path
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        let compiled = load_compiled(&path).map_err(|e| e.to_string())?;
-        corpus.push((stem, compiled));
-    }
-    Ok(corpus)
-}
-
-/// Resolves the requested names (or the whole corpus for `all`/empty).
-fn select(
-    corpus: Vec<(String, CompiledScenario)>,
-    names: &[String],
-) -> Result<Vec<(String, CompiledScenario)>, String> {
-    if names.is_empty() || names.iter().any(|n| n == "all") {
-        return Ok(corpus);
-    }
-    let mut selected = Vec::new();
-    for name in names {
-        match corpus.iter().find(|(stem, _)| stem == name) {
-            Some(found) => selected.push(found.clone()),
-            None => {
-                let known: Vec<&str> = corpus.iter().map(|(s, _)| s.as_str()).collect();
-                return Err(format!(
-                    "unknown scenario `{name}` (known: {})",
-                    known.join(", ")
-                ));
-            }
-        }
-    }
-    Ok(selected)
 }
 
 /// The canonical snapshot of a scenario: a model-checker outcome for
@@ -256,7 +206,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let selected = match select(corpus, &names) {
+    let selected = match select(corpus, &names, "scenario") {
         Ok(selected) => selected,
         Err(e) => {
             eprintln!("error: {e}");

@@ -46,18 +46,20 @@
 //! `active/` happens *before* any work, so a service SIGKILLed mid-sweep
 //! leaves the job there; the restarted service re-processes it, finds
 //! the already-executed shards in the cache, runs only the remainder,
-//! and produces response bytes identical to an uninterrupted run — the
-//! same resume-by-content story as `peas-bench sweep`, now shared
-//! between every client of the spool (pinned by
-//! `crates/bench/tests/serve_smoke.rs` and the `serve-smoke` CI job).
+//! and produces response bytes identical to an uninterrupted run (pinned
+//! by `crates/bench/tests/serve_smoke.rs` and the `serve-smoke` CI job).
+//! It is the same store and the same resume-by-content story as
+//! `peas-bench sweep`, whose `--journal` is a result cache private to one
+//! sweep; here one cache is shared between every client of the spool.
 
 use std::env;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::process::{Command, ExitCode};
+use std::process::ExitCode;
 use std::time::Duration;
 
+use peas_bench::cli::{corpus_dir, sigkill_self, Args};
 use peas_scenario::compile_job;
 use peas_sim::job::{
     decode_job, decode_outcome, decode_progress, encode_outcome, encode_progress, JobOutcome,
@@ -70,12 +72,6 @@ use peas_sim::{encode_report, fnv1a, ResultCache, Shard, SweepPlan};
 /// worker pool stays saturated between chunk boundaries.
 const CHUNK_PER_WORKER: usize = 2;
 
-/// Minimal flag parser: `--key value` pairs plus boolean flags.
-struct Args {
-    positional: Vec<String>,
-    flags: Vec<(String, Option<String>)>,
-}
-
 const VALUE_FLAGS: &[&str] = &[
     "--spool",
     "--cache",
@@ -84,55 +80,6 @@ const VALUE_FLAGS: &[&str] = &[
     "--poll-ms",
     "--kill-after",
 ];
-
-impl Args {
-    fn parse(raw: &[String]) -> Result<Args, String> {
-        let mut positional = Vec::new();
-        let mut flags = Vec::new();
-        let mut iter = raw.iter();
-        while let Some(arg) = iter.next() {
-            if let Some(flag) = arg.strip_prefix("--") {
-                if VALUE_FLAGS.contains(&arg.as_str()) {
-                    let value = iter
-                        .next()
-                        .ok_or_else(|| format!("--{flag} needs a value"))?;
-                    flags.push((flag.to_string(), Some(value.clone())));
-                } else {
-                    flags.push((flag.to_string(), None));
-                }
-            } else {
-                positional.push(arg.clone());
-            }
-        }
-        Ok(Args { positional, flags })
-    }
-
-    fn get(&self, flag: &str) -> Option<&str> {
-        self.flags
-            .iter()
-            .find(|(k, _)| k == flag)
-            .and_then(|(_, v)| v.as_deref())
-    }
-
-    fn has(&self, flag: &str) -> bool {
-        self.flags.iter().any(|(k, _)| k == flag)
-    }
-
-    fn get_parsed<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, String> {
-        match self.get(flag) {
-            None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .map_err(|_| format!("--{flag}: cannot parse `{raw}`")),
-        }
-    }
-
-    fn dir(&self, flag: &str) -> Result<PathBuf, String> {
-        self.get(flag)
-            .map(PathBuf::from)
-            .ok_or_else(|| format!("--{flag} DIR is required"))
-    }
-}
 
 /// The spool directory family. Every accessor creates on first use.
 struct Spool {
@@ -215,21 +162,6 @@ fn write_atomic(path: &Path, contents: &str) -> Result<(), String> {
     fs::rename(&tmp, path).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-/// SIGKILLs the current process — the `--kill-after` fault-injection
-/// path, same machinery as `sweep --kill-worker`. Falls back to `abort`
-/// if no `kill` binary exists.
-fn sigkill_self() -> ! {
-    let pid = std::process::id().to_string();
-    let _ = Command::new("kill").args(["-KILL", &pid]).status();
-    std::thread::sleep(Duration::from_secs(2));
-    std::process::abort();
-}
-
-/// Default scenario corpus: the workspace `scenarios/` directory.
-fn default_scenarios_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
-}
-
 // ---------------------------------------------------------------------------
 // serve run
 // ---------------------------------------------------------------------------
@@ -249,22 +181,17 @@ struct ServiceConfig {
 fn cmd_run(args: &Args) -> Result<(), String> {
     let spool = Spool::open(args.dir("spool")?)?;
     let cache = ResultCache::open(args.dir("cache")?).map_err(|e| format!("--cache: {e}"))?;
-    let scenarios = args
-        .get("scenarios")
-        .map_or_else(default_scenarios_dir, PathBuf::from);
+    let scenarios = args.get("scenarios").map_or_else(corpus_dir, PathBuf::from);
     let default_workers = std::thread::available_parallelism().map_or(1, |n| n.get());
     let workers: usize = args.get_parsed("workers", default_workers)?;
     if workers == 0 {
         return Err("--workers must be at least 1".to_string());
     }
     let poll_ms: u64 = args.get_parsed("poll-ms", 200)?;
-    let kill_budget: Option<usize> = match args.get("kill-after") {
-        Some(raw) => Some(
-            raw.parse()
-                .map_err(|_| format!("--kill-after: cannot parse `{raw}`"))?,
-        ),
-        None => None,
-    };
+    let kill_budget: Option<usize> = args
+        .get("kill-after")
+        .map(|_| args.get_parsed("kill-after", 0))
+        .transpose()?;
     let mut service = ServiceConfig {
         spool,
         cache,
@@ -536,14 +463,7 @@ fn cmd_status(args: &Args) -> Result<(), String> {
     let spool = Spool::open(args.dir("spool")?)?;
     let cache = ResultCache::open(args.dir("cache")?).map_err(|e| format!("--cache: {e}"))?;
     let scan = cache.scan().map_err(|e| format!("cache scan: {e}"))?;
-    println!(
-        "cache: {} record(s), {} distinct key(s) in {} segment(s), {} quarantined, {} torn",
-        scan.records,
-        scan.len(),
-        scan.segments,
-        scan.quarantined,
-        scan.torn
-    );
+    println!("cache: {scan}");
     for queue in ["incoming", "active", "done", "failed"] {
         let files = spool.list(queue).map_err(|e| e.to_string())?;
         if !files.is_empty() {
@@ -600,7 +520,7 @@ fn cmd_control(args: &Args, what: &str) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let raw: Vec<String> = env::args().skip(1).collect();
-    let args = match Args::parse(&raw) {
+    let args = match Args::parse(&raw, VALUE_FLAGS) {
         Ok(args) => args,
         Err(e) => {
             eprintln!("error: {e}");

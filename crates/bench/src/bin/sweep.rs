@@ -1,13 +1,16 @@
 //! The sharded sweep driver: runs a `.peas` sweep across N worker
 //! processes with per-shard checkpointing, worker supervision and a
-//! `--resume` path (see `peas_sim::SweepSession` for the journal format).
+//! `--resume` path. The journal is a private result store
+//! (`peas_sim::cache`): worker slot `i` appends checksummed records to
+//! `cache-<i>.jsonl`, and damaged records are quarantined and re-run.
 //!
 //! ```text
 //! Usage: sweep <command> <scenario> --journal DIR [options]
 //!
 //! Commands:
 //!   run      execute the sweep across worker processes, then merge
-//!   status   print journal progress (completed/total, missing shards)
+//!   status   print journal progress (completed/total, quarantined and
+//!            torn records, missing shards)
 //!   verify   compare two journals' merged reports byte for byte
 //!   worker   internal: run one worker slot in-process
 //!
@@ -27,7 +30,7 @@
 //!
 //! Options (worker):
 //!   --shard I/N          this worker's slot (self-schedules over the
-//!                        journal: runs pending shards with index%N==I)
+//!                        journal: runs novel shards with index%N==I)
 //!   --die-after K        fault injection: SIGKILL self after K shards
 //! ```
 //!
@@ -43,51 +46,10 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitCode};
 use std::time::{Duration, Instant};
 
+use peas_bench::cli::{corpus_dir, sigkill_self, Args};
+use peas_bench::sweeps::run_slot;
 use peas_scenario::{load_compiled, sample_fingerprint, CompiledScenario};
-use peas_sim::{encode_report, RunReport, SweepSession};
-
-/// FNV-1a over the per-run fingerprint renderings: one number that pins
-/// the whole merged sweep.
-fn sweep_fingerprint(reports: &[RunReport]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for report in reports {
-        for byte in format!("{:#018X}", sample_fingerprint(report)).as_bytes() {
-            hash ^= u64::from(*byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    hash
-}
-
-/// Resolves `<scenario>` to a `.peas` path: a path is used as-is, a bare
-/// stem resolves into the workspace `scenarios/` corpus.
-fn scenario_path(arg: &str) -> PathBuf {
-    let direct = Path::new(arg);
-    if direct.extension().is_some_and(|ext| ext == "peas") {
-        return direct.to_path_buf();
-    }
-    Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("../../scenarios/{arg}.peas"))
-}
-
-fn load_scenario(arg: &str) -> Result<CompiledScenario, String> {
-    let path = scenario_path(arg);
-    load_compiled(&path).map_err(|e| format!("{}: {e}", path.display()))
-}
-
-fn open_session(scenario: &CompiledScenario, journal: &Path) -> Result<SweepSession, String> {
-    let runs = scenario
-        .runs()
-        .into_iter()
-        .map(|run| (run.label, run.config))
-        .collect();
-    SweepSession::create(journal, runs).map_err(|e| format!("{}: {e}", journal.display()))
-}
-
-/// Minimal flag parser: `--key value` pairs plus boolean flags.
-struct Args {
-    positional: Vec<String>,
-    flags: Vec<(String, Option<String>)>,
-}
+use peas_sim::{encode_report, fnv1a_parts, CacheScan, ResultCache, RunReport, SweepPlan};
 
 const VALUE_FLAGS: &[&str] = &[
     "--journal",
@@ -100,74 +62,65 @@ const VALUE_FLAGS: &[&str] = &[
     "--die-after",
 ];
 
-impl Args {
-    fn parse(raw: &[String]) -> Result<Args, String> {
-        let mut positional = Vec::new();
-        let mut flags = Vec::new();
-        let mut iter = raw.iter();
-        while let Some(arg) = iter.next() {
-            if let Some(flag) = arg.strip_prefix("--") {
-                if VALUE_FLAGS.contains(&arg.as_str()) {
-                    let value = iter
-                        .next()
-                        .ok_or_else(|| format!("--{flag} needs a value"))?;
-                    flags.push((flag.to_string(), Some(value.clone())));
-                } else {
-                    flags.push((flag.to_string(), None));
-                }
-            } else {
-                positional.push(arg.clone());
-            }
-        }
-        Ok(Args { positional, flags })
-    }
-
-    fn get(&self, flag: &str) -> Option<&str> {
-        self.flags
+/// FNV-1a over the per-run fingerprint renderings: one number that pins
+/// the whole merged sweep.
+fn sweep_fingerprint(reports: &[RunReport]) -> u64 {
+    fnv1a_parts(
+        reports
             .iter()
-            .find(|(k, _)| k == flag)
-            .and_then(|(_, v)| v.as_deref())
+            .map(|report| format!("{:#018X}", sample_fingerprint(report))),
+    )
+}
+
+/// Resolves `<scenario>` to a `.peas` path: a path is used as-is, a bare
+/// stem resolves into the workspace `scenarios/` corpus.
+fn scenario_path(arg: &str) -> PathBuf {
+    let direct = Path::new(arg);
+    if direct.extension().is_some_and(|ext| ext == "peas") {
+        return direct.to_path_buf();
+    }
+    corpus_dir().join(format!("{arg}.peas"))
+}
+
+fn load_scenario(arg: &str) -> Result<CompiledScenario, String> {
+    let path = scenario_path(arg);
+    load_compiled(&path).map_err(|e| format!("{}: {e}", path.display()))
+}
+
+/// A sweep's shard plan plus its journal: a private result store.
+struct Journal {
+    plan: SweepPlan,
+    cache: ResultCache,
+}
+
+impl Journal {
+    fn open(scenario: &CompiledScenario, dir: &Path) -> Result<Journal, String> {
+        let runs = scenario
+            .runs()
+            .into_iter()
+            .map(|run| (run.label, run.config));
+        Ok(Journal {
+            plan: SweepPlan::new(runs.collect()),
+            cache: ResultCache::open(dir).map_err(|e| format!("{}: {e}", dir.display()))?,
+        })
     }
 
-    fn has(&self, flag: &str) -> bool {
-        self.flags.iter().any(|(k, _)| k == flag)
+    fn scan(&self) -> Result<CacheScan, String> {
+        self.cache.scan().map_err(|e| e.to_string())
     }
 
-    fn get_parsed<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, String> {
-        match self.get(flag) {
-            None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .map_err(|_| format!("--{flag}: cannot parse `{raw}`")),
-        }
-    }
-
-    fn journal(&self) -> Result<&Path, String> {
-        self.get("journal")
-            .map(Path::new)
-            .ok_or_else(|| "--journal DIR is required".to_string())
+    /// Bytes in worker slot `worker`'s segment (the watchdog's progress
+    /// signal).
+    fn segment_len(&self, worker: usize) -> u64 {
+        std::fs::metadata(self.cache.segment_path(worker)).map_or(0, |m| m.len())
     }
 }
 
 /// Parses `I/N` (shard slot) or `W:K` (kill injection) pairs.
 fn parse_pair(raw: &str, sep: char, what: &str) -> Result<(usize, usize), String> {
-    let parts: Vec<&str> = raw.splitn(2, sep).collect();
-    if let [a, b] = parts[..] {
-        if let (Ok(a), Ok(b)) = (a.parse(), b.parse()) {
-            return Ok((a, b));
-        }
-    }
-    Err(format!("{what}: expected `A{sep}B`, got `{raw}`"))
-}
-
-/// SIGKILLs the current process (the fault-injection path of
-/// `--die-after`); falls back to `abort` if no `kill` binary exists.
-fn sigkill_self() -> ! {
-    let pid = std::process::id().to_string();
-    let _ = Command::new("kill").args(["-KILL", &pid]).status();
-    // Give the signal a moment to land, then hard-stop regardless.
-    std::thread::sleep(Duration::from_secs(2));
-    std::process::abort();
+    raw.split_once(sep)
+        .and_then(|(a, b)| Some((a.parse().ok()?, b.parse().ok()?)))
+        .ok_or_else(|| format!("{what}: expected `A{sep}B`, got `{raw}`"))
 }
 
 fn cmd_worker(scenario_arg: &str, args: &Args) -> Result<(), String> {
@@ -180,20 +133,18 @@ fn cmd_worker(scenario_arg: &str, args: &Args) -> Result<(), String> {
         return Err(format!("--shard: slot {worker}/{workers} out of range"));
     }
     let die_after: usize = args.get_parsed("die-after", usize::MAX)?;
-    let scenario = load_scenario(scenario_arg)?;
-    let session = open_session(&scenario, args.journal()?)?;
-    if die_after != usize::MAX {
-        let ran = session
-            .run_worker(worker, workers, Some(die_after))
-            .map_err(|e| e.to_string())?;
-        if ran >= die_after {
-            sigkill_self();
-        }
-        return Ok(());
+    let journal = Journal::open(&load_scenario(scenario_arg)?, &args.dir("journal")?)?;
+    let ran = run_slot(
+        &journal.cache,
+        &journal.plan,
+        worker,
+        workers,
+        Some(die_after),
+    )
+    .map_err(|e| e.to_string())?;
+    if ran >= die_after {
+        sigkill_self();
     }
-    let ran = session
-        .run_worker(worker, workers, None)
-        .map_err(|e| e.to_string())?;
     eprintln!("[worker {worker}/{workers}] ran {ran} shard(s)");
     Ok(())
 }
@@ -206,7 +157,6 @@ struct Slot {
     /// Journal bytes in this worker's segment when progress last advanced.
     last_len: u64,
     last_advance: Instant,
-    failed: bool,
 }
 
 fn spawn_worker(
@@ -231,13 +181,9 @@ fn spawn_worker(
         .map_err(|e| format!("cannot spawn worker {worker}: {e}"))
 }
 
-fn segment_len(session: &SweepSession, worker: usize) -> u64 {
-    std::fs::metadata(session.segment_path(worker)).map_or(0, |m| m.len())
-}
-
-fn print_merge(scenario_name: &str, session: &SweepSession) -> Result<(), String> {
-    let reports = session.merged().map_err(|e| e.to_string())?;
-    for (shard, report) in session.shards().iter().zip(&reports) {
+fn print_merge(scenario_name: &str, journal: &Journal, scan: &CacheScan) -> Result<(), String> {
+    let reports = journal.plan.merged(scan).map_err(|e| e.to_string())?;
+    for (shard, report) in journal.plan.shards().iter().zip(&reports) {
         println!("  {:<44} {:#018X}", shard.label, sample_fingerprint(report));
     }
     println!(
@@ -251,21 +197,23 @@ fn print_merge(scenario_name: &str, session: &SweepSession) -> Result<(), String
 #[allow(clippy::too_many_lines)]
 fn cmd_run(scenario_arg: &str, args: &Args) -> Result<(), String> {
     let scenario = load_scenario(scenario_arg)?;
-    let journal = args.journal()?;
-    let session = open_session(&scenario, journal)?;
-    let total = session.shards().len();
+    let dir = args.dir("journal")?;
+    let journal = Journal::open(&scenario, &dir)?;
+    let total = journal.plan.len();
 
-    let (done_before, _) = session.progress().map_err(|e| e.to_string())?;
-    if done_before > 0 && !args.has("resume") {
+    let scan = journal.scan()?;
+    if !scan.is_empty() && !args.has("resume") {
         return Err(format!(
-            "journal {} already holds {done_before} completed shard(s); \
+            "journal {} already holds {} completed shard(s); \
              pass --resume to continue it or point --journal at a fresh directory",
-            journal.display()
+            dir.display(),
+            scan.len()
         ));
     }
+    let done_before = journal.plan.cached(&scan);
     if done_before == total {
         println!("nothing to do: all {total} shard(s) already journaled");
-        return print_merge(&scenario.name, &session);
+        return print_merge(&scenario.name, &journal, &scan);
     }
 
     let default_workers = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -275,10 +223,10 @@ fn cmd_run(scenario_arg: &str, args: &Args) -> Result<(), String> {
     }
     let retries: usize = args.get_parsed("retries", 2)?;
     let timeout_secs: u64 = args.get_parsed("timeout-secs", 600)?;
-    let kill = match args.get("kill-worker") {
-        Some(raw) => Some(parse_pair(raw, ':', "--kill-worker")?),
-        None => None,
-    };
+    let kill = args
+        .get("kill-worker")
+        .map(|raw| parse_pair(raw, ':', "--kill-worker"))
+        .transpose()?;
 
     println!(
         "{}: {total} shard(s) over {workers} worker(s){}",
@@ -293,14 +241,13 @@ fn cmd_run(scenario_arg: &str, args: &Args) -> Result<(), String> {
     let mut slots = Vec::with_capacity(workers);
     for worker in 0..workers {
         let die_after = kill.and_then(|(w, k)| (w == worker).then_some(k));
-        let child = spawn_worker(scenario_arg, journal, worker, workers, die_after)?;
+        let child = spawn_worker(scenario_arg, &dir, worker, workers, die_after)?;
         slots.push(Slot {
             worker,
             child: Some(child),
             attempts: 1,
-            last_len: segment_len(&session, worker),
+            last_len: journal.segment_len(worker),
             last_advance: Instant::now(),
-            failed: false,
         });
     }
 
@@ -315,7 +262,7 @@ fn cmd_run(scenario_arg: &str, args: &Args) -> Result<(), String> {
             // Progress watchdog: a worker whose segment hasn't grown for
             // the whole timeout is stuck inside one shard — kill it and
             // let the retry path re-run that shard.
-            let len = segment_len(&session, slot.worker);
+            let len = journal.segment_len(slot.worker);
             if len > slot.last_len {
                 slot.last_len = len;
                 slot.last_advance = Instant::now();
@@ -341,8 +288,7 @@ fn cmd_run(scenario_arg: &str, args: &Args) -> Result<(), String> {
                         );
                         // Retries never re-inject the death fault: the
                         // injection models a one-off crash.
-                        let child =
-                            spawn_worker(scenario_arg, journal, slot.worker, workers, None)?;
+                        let child = spawn_worker(scenario_arg, &dir, slot.worker, workers, None)?;
                         slot.child = Some(child);
                         slot.attempts += 1;
                         slot.last_advance = Instant::now();
@@ -352,12 +298,11 @@ fn cmd_run(scenario_arg: &str, args: &Args) -> Result<(), String> {
                             "[sweep] worker {} died ({status}); retries exhausted",
                             slot.worker
                         );
-                        slot.failed = true;
                     }
                 }
             }
         }
-        let (done, _) = session.progress().map_err(|e| e.to_string())?;
+        let done = journal.plan.cached(&journal.scan()?);
         if done != last_reported {
             println!("[sweep] {done}/{total} shard(s) journaled");
             last_reported = done;
@@ -371,26 +316,33 @@ fn cmd_run(scenario_arg: &str, args: &Args) -> Result<(), String> {
     if deaths > 0 {
         eprintln!("[sweep] {deaths} worker death(s) during the run");
     }
-    match session.merged() {
-        Ok(_) => print_merge(&scenario.name, &session),
+    let scan = journal.scan()?;
+    match journal.plan.merged(&scan) {
+        Ok(_) => print_merge(&scenario.name, &journal, &scan),
         Err(e) => Err(format!(
             "{e}; resume with: sweep run {scenario_arg} --journal {} --resume",
-            journal.display()
+            dir.display()
         )),
     }
 }
 
 fn cmd_status(scenario_arg: &str, args: &Args) -> Result<(), String> {
     let scenario = load_scenario(scenario_arg)?;
-    let session = open_session(&scenario, args.journal()?)?;
-    let (done, total) = session.progress().map_err(|e| e.to_string())?;
-    println!("{}: {done}/{total} shard(s) journaled", scenario.name);
-    let pending = session.pending().map_err(|e| e.to_string())?;
-    for index in &pending {
-        println!("  pending #{index}: {}", session.shards()[*index].label);
+    let journal = Journal::open(&scenario, &args.dir("journal")?)?;
+    let scan = journal.scan()?;
+    println!(
+        "{}: {}/{} shard(s) journaled",
+        scenario.name,
+        journal.plan.cached(&scan),
+        journal.plan.len()
+    );
+    println!("journal: {scan}");
+    let pending = journal.plan.novel(&scan);
+    for shard in &pending {
+        println!("  pending #{}: {}", shard.index, shard.label);
     }
     if pending.is_empty() {
-        print_merge(&scenario.name, &session)?;
+        print_merge(&scenario.name, &journal, &scan)?;
     }
     Ok(())
 }
@@ -400,11 +352,17 @@ fn cmd_verify(scenario_arg: &str, args: &Args) -> Result<(), String> {
     let against = args
         .get("against")
         .ok_or("--against DIR is required for verify")?;
-    let session = open_session(&scenario, args.journal()?)?;
-    let reference = open_session(&scenario, Path::new(against))?;
-    let a = session.merged().map_err(|e| format!("--journal: {e}"))?;
-    let b = reference.merged().map_err(|e| format!("--against: {e}"))?;
-    for (shard, (ra, rb)) in session.shards().iter().zip(a.iter().zip(&b)) {
+    let journal = Journal::open(&scenario, &args.dir("journal")?)?;
+    let reference = Journal::open(&scenario, Path::new(against))?;
+    let a = journal
+        .plan
+        .merged(&journal.scan()?)
+        .map_err(|e| format!("--journal: {e}"))?;
+    let b = reference
+        .plan
+        .merged(&reference.scan()?)
+        .map_err(|e| format!("--against: {e}"))?;
+    for (shard, (ra, rb)) in journal.plan.shards().iter().zip(a.iter().zip(&b)) {
         let (ea, eb) = (encode_report(ra), encode_report(rb));
         if ea != eb {
             return Err(format!(
@@ -427,7 +385,7 @@ fn cmd_verify(scenario_arg: &str, args: &Args) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let raw: Vec<String> = env::args().skip(1).collect();
-    let args = match Args::parse(&raw) {
+    let args = match Args::parse(&raw, VALUE_FLAGS) {
         Ok(args) => args,
         Err(e) => {
             eprintln!("error: {e}");

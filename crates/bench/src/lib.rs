@@ -23,6 +23,7 @@
 //! | [`experiments::turnoff`]   | §4 — working-node turn-off ablation |
 //! | [`experiments::baselines`] | §§1/6 — PEAS vs always-on / synchronized / GAF |
 
+pub mod cli;
 pub mod experiments;
 pub mod model_gate;
 pub mod sweeps;

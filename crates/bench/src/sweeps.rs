@@ -5,8 +5,13 @@
 //! once and formatting four artifacts from it mirrors how the paper's own
 //! numbers were produced (Section 5.2: "Given each node population, the
 //! results are averaged over 5 simulation runs").
+//!
+//! [`run_slot`] is the other way to run a sweep: one worker process of the
+//! sharded, resumable `sweep` binary.
 
-use peas_sim::{RunReport, Runner, ScenarioConfig};
+use std::io;
+
+use peas_sim::{ResultCache, RunReport, Runner, ScenarioConfig, SweepPlan};
 
 /// One sweep point: the x-value and the per-seed reports.
 #[derive(Debug)]
@@ -94,6 +99,49 @@ pub const QUICK_NODE_COUNTS: [usize; 3] = [160, 320, 480];
 pub const QUICK_FAILURE_RATES: [f64; 3] = [5.33, 26.66, 48.0];
 /// Reduced seeds for `--quick`.
 pub const QUICK_SEEDS: [u64; 2] = [101, 102];
+
+/// Worker slot `worker` of a `workers`-way sharded sweep over a private
+/// result store: scans `cache`, runs the shards of `plan.novel(..)` with
+/// `index % workers == worker` (at most `cap` of them: fault injection)
+/// and appends each report through writer slot `worker`, so worker
+/// processes never share a segment. Returns how many shards it ran; a
+/// re-launched slot resumes where its predecessor died, under any worker
+/// topology.
+///
+/// # Errors
+///
+/// Propagates store scan and append failures.
+///
+/// # Panics
+///
+/// Panics if `worker >= workers`, or if a simulation run itself panics.
+pub fn run_slot(
+    cache: &ResultCache,
+    plan: &SweepPlan,
+    worker: usize,
+    workers: usize,
+    cap: Option<usize>,
+) -> io::Result<usize> {
+    assert!(
+        worker < workers,
+        "worker {worker} out of range 0..{workers}"
+    );
+    let mine: Vec<_> = plan
+        .novel(&cache.scan()?)
+        .into_iter()
+        .filter(|shard| shard.index % workers == worker)
+        .take(cap.unwrap_or(usize::MAX))
+        .collect();
+    if mine.is_empty() {
+        return Ok(0);
+    }
+    let mut writer = cache.writer(worker)?;
+    for shard in &mine {
+        let report = Runner::new(shard.config.clone()).run_single();
+        writer.append(shard.key, &shard.label, &report)?;
+    }
+    Ok(mine.len())
+}
 
 #[cfg(test)]
 mod tests {

@@ -18,7 +18,9 @@
 //!   `u32` handles so heap entries stay small;
 //! * [`detmap`] — [`DetMap`]/[`DetSet`], deterministic-iteration
 //!   replacements for the banned `std` hash collections (`peas-lint`
-//!   rule `d1-std-hash`).
+//!   rule `d1-std-hash`);
+//! * [`pool`] — [`run_pool`], the one bounded, order-preserving worker
+//!   pool every parallel caller in the workspace shares.
 //!
 //! # Example: a minimal wake/sleep process
 //!
@@ -51,6 +53,7 @@ pub mod detmap;
 pub mod event;
 pub mod heap_ref;
 pub mod ladder;
+pub mod pool;
 pub mod rng;
 pub mod sim;
 pub mod time;
@@ -58,6 +61,7 @@ pub mod time;
 pub use arena::Arena;
 pub use detmap::{DetMap, DetSet};
 pub use event::{EventId, EventQueue, Fired, HeapEventQueue, LadderEventQueue, QueueCore};
+pub use pool::run_pool;
 pub use rng::SimRng;
 pub use sim::Simulator;
 pub use time::{SimDuration, SimTime};

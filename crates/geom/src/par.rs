@@ -4,9 +4,9 @@
 //! [`CoverageCsr`](crate::CoverageCsr) builds are embarrassingly parallel
 //! over node index, but their output order is part of the determinism
 //! contract (grid candidate order within a row, node order across rows).
-//! This module runs per-chunk builders on a bounded worker pool — the same
-//! scoped-threads / shared-claim-counter pattern the sim `Runner` uses for
-//! whole simulations — and returns the chunk outputs **in chunk order**, so
+//! This module runs per-chunk builders on the workspace's one bounded worker
+//! pool ([`peas_des::run_pool`], which the sim `Runner` also uses for whole
+//! simulations) and returns the chunk outputs **in chunk order**, so
 //! splicing them back together reproduces the serial build byte for byte.
 //!
 //! ## Memory budget
@@ -18,8 +18,8 @@
 //! footprint, regardless of node count.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+
+use peas_des::run_pool;
 
 /// Node-count threshold below which builds stay serial: thread spawn and
 /// splice overhead outweigh the work for small topologies (the paper's
@@ -43,42 +43,22 @@ pub fn build_workers(n: usize) -> usize {
 }
 
 /// Runs `build` over consecutive [`BUILD_CHUNK_NODES`]-sized index chunks of
-/// `0..n` on at most `workers` pooled threads, returning the outputs in
-/// chunk order regardless of completion order.
+/// `0..n` on at most `workers` pooled threads ([`peas_des::run_pool`]),
+/// returning the outputs in chunk order regardless of completion order.
 ///
 /// With `workers <= 1` (or a single chunk) the chunks run serially on the
 /// caller's thread; the outputs are identical either way because every
 /// chunk is independent.
 pub fn chunked_build<T, F>(n: usize, workers: usize, build: F) -> Vec<T>
 where
-    T: Send + Sync,
+    T: Send,
     F: Fn(Range<usize>) -> T + Sync,
 {
     let chunks: Vec<Range<usize>> = (0..n)
         .step_by(BUILD_CHUNK_NODES)
         .map(|lo| lo..(lo + BUILD_CHUNK_NODES).min(n))
         .collect();
-    let workers = workers.min(chunks.len());
-    if workers <= 1 {
-        return chunks.into_iter().map(build).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<OnceLock<T>> = (0..chunks.len()).map(|_| OnceLock::new()).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let k = next.fetch_add(1, Ordering::Relaxed);
-                let Some(range) = chunks.get(k) else { break };
-                let filled = slots[k].set(build(range.clone()));
-                debug_assert!(filled.is_ok(), "chunk {k} claimed twice");
-            });
-        }
-    });
-    slots
-        .into_iter()
-        // peas-lint: allow(r1-unchecked-panic) -- scope join guarantees every claimed slot was filled; the shared counter claims each exactly once
-        .map(|slot| slot.into_inner().expect("worker pool dropped a chunk"))
-        .collect()
+    run_pool(chunks.len(), workers, |_, k| build(chunks[k].clone()))
 }
 
 #[cfg(test)]

@@ -9,24 +9,7 @@
 //! first field that differs so a failing conformance test can say
 //! precisely what drifted.
 
-use peas_sim::RunReport;
-
-/// FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-/// FNV-1a over a stream of string parts.
-fn fnv1a(parts: impl Iterator<Item = String>) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for part in parts {
-        for byte in part.as_bytes() {
-            hash ^= u64::from(*byte);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-    }
-    hash
-}
+use peas_sim::{fnv1a_parts, RunReport};
 
 /// The canonical event-stream fingerprint of a run: FNV-1a over each
 /// sample formatted as
@@ -34,7 +17,7 @@ fn fnv1a(parts: impl Iterator<Item = String>) -> u64 {
 /// Any change to protocol logic, RNG-consumption order, radio behavior
 /// or energy accounting shifts this value.
 pub fn sample_fingerprint(report: &RunReport) -> u64 {
-    fnv1a(report.samples.iter().map(|s| {
+    fnv1a_parts(report.samples.iter().map(|s| {
         format!(
             "{:.3}|{:?}|{}|{}|{}|{}|{:?}",
             s.t_secs,

@@ -1,63 +1,173 @@
-//! The content-addressed result cache behind the sweep service:
-//! [`ResultCache`] + [`SweepPlan`].
+//! The content-addressed result store: [`ResultCache`] + [`SweepPlan`].
 //!
-//! PR 5's sweep journal already keys every completed run by **config
-//! fingerprint + seed** ([`ShardKey`]); this module promotes that embryo
-//! into a *global*, long-lived store that many sweeps (and many clients)
-//! share. A submitted sweep is expanded to a [`SweepPlan`], every shard
-//! is looked up in the cache, and only the **novel** keys are executed —
-//! a re-submitted sweep runs zero shards, an overlapping sweep runs only
-//! its new grid points. Deterministic replay is what makes this sound: a
-//! cache hit is provably byte-identical to a cold re-run of the same
-//! shard (pinned by `crates/sim/tests/cache_equiv.rs`).
-//!
-//! ## Record format
+//! Every completed run is keyed by **config fingerprint + seed**
+//! ([`ShardKey`]). A sweep is expanded to a [`SweepPlan`] and only the
+//! shards the store cannot serve are executed — a re-submitted sweep runs
+//! zero shards, an overlapping sweep runs only its new grid points, and a
+//! sweep that died at 90% loses one in-flight run, not the whole grid.
+//! Deterministic replay makes this sound: a cache hit is byte-identical to
+//! a cold re-run of the same shard (pinned by
+//! `crates/sim/tests/cache_equiv.rs`). The sweep service
+//! (`peas-bench serve`) shares one store between its clients; the sharded
+//! sweep command (`peas-bench sweep`) keeps a private one as its journal.
 //!
 //! The store is a directory of append-only `cache-<writer>.jsonl`
-//! segments reusing the schema-1 wire form and the torn-tail append rule
-//! from [`crate::session`] (DESIGN.md §7), with one addition: every
-//! record carries a checksum of its own body, so *any* corruption — a
-//! flipped bit, a truncated write, a fused line — is detected instead of
-//! served:
+//! segments, one per writer slot, each record flushed as one line:
 //!
 //! ```text
 //! {"check":"0x…","fingerprint":"0x…","seed":N,"label":"…","report":{"schema":1,…}}
 //! ```
 //!
 //! `check` is FNV-1a over the raw bytes between `"check":"…",` and the
-//! closing `}` — exactly the bytes that carry the record's meaning. A
-//! plain journal tolerates torn tails because they fail to *parse*; a
-//! shared cache must also survive records that still parse but no longer
-//! mean what was written (bit rot, partial overwrites). The checksum
-//! closes that gap.
-//!
-//! ## Quarantine
-//!
-//! [`ResultCache::scan`] classifies every damaged line: a newline-less
-//! final line is a **torn tail** (the expected artifact of a killed
-//! writer — silently dropped, exactly like the journal), while any other
-//! unreadable or checksum-mismatched record is **quarantined**: logged
-//! once to `quarantine.jsonl` (with its segment, line number, reason and
-//! a hash of the raw bytes) and excluded from the scan. Either way the
-//! affected shard simply stops being cached and re-runs; the store never
-//! serves garbage. Corruption handling is pinned by the proptests in
-//! `crates/sim/tests/cache_store.rs`.
+//! closing `}`, so a record that still parses but no longer means what
+//! was written (bit rot, partial overwrites) is detected, not served.
+//! [`ResultCache::scan`] skips a newline-less final line as a **torn
+//! tail** (a killed writer's artifact) and **quarantines** any other
+//! damaged record to `quarantine.jsonl`; either way its shard re-runs.
+//! A writer truncates a torn tail before its first append, so a new record
+//! never fuses with a half-line (DESIGN.md §7 and §11; corruption handling
+//! is pinned by `crates/sim/tests/cache_store.rs`).
 
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use peas_des::{DetMap, DetSet};
+use peas_des::{run_pool, DetMap, DetSet};
 
 use crate::config::ScenarioConfig;
 use crate::metrics::RunReport;
 use crate::report_json::{decode_report_value, encode_report, json_escape, parse_json, Json};
 use crate::runner::Runner;
-use crate::session::{
-    enumerate_shards, fnv1a, open_segment_for_append, SessionError, Shard, ShardKey,
-};
+
+/// FNV-1a offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// FNV-1a over an arbitrary byte string — the workspace's one
+/// non-cryptographic content hash, behind [`config_fingerprint`], the
+/// record checksums and the golden run fingerprints.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_parts([bytes])
+}
+
+/// FNV-1a over the concatenation of `parts`, without building the
+/// concatenation: `fnv1a_parts([a, b]) == fnv1a(&[a, b].concat())`.
+pub fn fnv1a_parts<I>(parts: I) -> u64
+where
+    I: IntoIterator,
+    I::Item: AsRef<[u8]>,
+{
+    let mut hash = FNV_OFFSET;
+    for part in parts {
+        for byte in part.as_ref() {
+            hash ^= u64::from(*byte);
+            hash = hash.wrapping_mul(FNV_PRIME);
+        }
+    }
+    hash
+}
+
+/// The content address of a sweep run: the fingerprint of its config
+/// (seed excluded) plus the seed. Two shards with equal keys are the same
+/// deterministic run and share one cache record.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct ShardKey {
+    /// [`config_fingerprint`] of the shard's config.
+    pub fingerprint: u64,
+    /// The run's master seed.
+    pub seed: u64,
+}
+
+/// One unit of sweep work: a fully-resolved config plus its stable
+/// position in the sweep enumeration.
+#[derive(Clone, Debug)]
+pub struct Shard {
+    /// Position in the sweep enumeration (also the merge order).
+    pub index: usize,
+    /// Human-readable label (carried into the record for debuggability).
+    pub label: String,
+    /// The fully-resolved configuration.
+    pub config: ScenarioConfig,
+    /// The content address.
+    pub key: ShardKey,
+}
+
+/// A stable fingerprint of a scenario config **excluding its seed** (the
+/// seed is tracked separately in the [`ShardKey`]). Computed as FNV-1a
+/// over the config's canonical debug rendering, so any parameter change —
+/// field size, ranges, rates, horizon — yields a new fingerprint and
+/// stale records simply stop matching (their shards re-run).
+pub fn config_fingerprint(config: &ScenarioConfig) -> u64 {
+    let canonical = format!("{:?}", config.clone().with_seed(0));
+    fnv1a(canonical.as_bytes())
+}
+
+/// Enumerates `(label, config)` runs as [`Shard`]s in input order — the
+/// one shard-numbering rule behind every [`SweepPlan`].
+pub fn enumerate_shards(runs: Vec<(String, ScenarioConfig)>) -> Vec<Shard> {
+    runs.into_iter()
+        .enumerate()
+        .map(|(index, (label, config))| {
+            let key = ShardKey {
+                fingerprint: config_fingerprint(&config),
+                seed: config.seed,
+            };
+            Shard {
+                index,
+                label,
+                config,
+                key,
+            }
+        })
+        .collect()
+}
+
+/// A merge was requested while shards are still missing from the store.
+#[derive(Debug)]
+pub struct Incomplete {
+    /// Enumeration indices of the shards not yet cached, in order.
+    pub missing: Vec<usize>,
+}
+
+impl std::fmt::Display for Incomplete {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "sweep incomplete: {} shard(s) not cached (indices {:?})",
+            self.missing.len(),
+            self.missing
+        )
+    }
+}
+
+/// Opens a segment for appending, first truncating any torn
+/// (newline-less) tail a killed writer left behind. Appending directly
+/// after such a tail would fuse the new record onto the half-line,
+/// leaving *both* unreadable — the store would never converge for that
+/// shard. Dropping the tail loses nothing: a torn line was never a
+/// complete record, and its shard is exactly what the resume re-runs.
+fn open_segment_for_append(path: &Path) -> io::Result<fs::File> {
+    use std::io::{Read, Seek, SeekFrom};
+    let mut file = fs::OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(path)?;
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes)?;
+    let keep = bytes
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .map_or(0, |pos| pos + 1);
+    if keep < bytes.len() {
+        file.set_len(keep as u64)?;
+    }
+    file.seek(SeekFrom::Start(keep as u64))?;
+    Ok(file)
+}
 
 /// The leading frame of every cache record: `{"check":"0x` + 16 hex
 /// digits + `",` + body + `}`.
@@ -65,8 +175,8 @@ const CHECK_PREFIX: &str = "{\"check\":\"0x";
 /// Hex digits in the checksum field (`{:#018X}` minus the `0x` prefix).
 const CHECK_HEX_LEN: usize = 16;
 
-/// Renders one cache record (newline-terminated): the journal's schema-1
-/// body prefixed with a checksum over the body's exact bytes.
+/// Renders one cache record (newline-terminated): the schema-1 body
+/// prefixed with a checksum over the body's exact bytes.
 pub fn encode_cache_line(key: ShardKey, label: &str, report: &RunReport) -> String {
     let body = format!(
         "\"fingerprint\":\"{:#018X}\",\"seed\":{},\"label\":\"{}\",\"report\":{}",
@@ -135,7 +245,7 @@ pub fn decode_cache_line(line: &str) -> CacheRecord {
         ));
     }
     // The checksum matched, so the body is exactly what a writer
-    // flushed; parse it with the same rules as a journal line.
+    // flushed; only now parse it.
     let Ok(value) = parse_json(&format!("{{{body}}}")) else {
         return damaged("checksummed body fails to parse");
     };
@@ -189,18 +299,6 @@ pub struct CacheScan {
     pub torn: usize,
 }
 
-impl Default for CacheScan {
-    fn default() -> CacheScan {
-        CacheScan {
-            entries: DetMap::new(),
-            segments: 0,
-            records: 0,
-            quarantined: 0,
-            torn: 0,
-        }
-    }
-}
-
 impl CacheScan {
     /// Looks up the cached report for `key`.
     pub fn get(&self, key: &ShardKey) -> Option<&RunReport> {
@@ -215,6 +313,22 @@ impl CacheScan {
     /// True when the store holds no verified entries.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+}
+
+/// The one-line store summary both sweep front ends print:
+/// `N record(s), K distinct key(s) in S segment(s), Q quarantined, T torn`.
+impl std::fmt::Display for CacheScan {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} record(s), {} distinct key(s) in {} segment(s), {} quarantined, {} torn",
+            self.records,
+            self.len(),
+            self.segments,
+            self.quarantined,
+            self.torn
+        )
     }
 }
 
@@ -254,7 +368,7 @@ impl ResultCache {
     }
 
     /// Opens an append handle for writer slot `writer`, truncating any
-    /// torn tail first (the journal's append-after-tear rule).
+    /// torn tail first (the append-after-tear rule in the module docs).
     ///
     /// # Errors
     ///
@@ -268,7 +382,7 @@ impl ResultCache {
     /// Scans every segment, verifying each record's checksum, and
     /// returns the store's verified contents. Damaged interior records
     /// are appended to the quarantine log (once per distinct raw line);
-    /// torn tails are skipped silently, exactly like the sweep journal.
+    /// torn tails are skipped silently.
     ///
     /// # Errors
     ///
@@ -287,8 +401,11 @@ impl ResultCache {
         segments.sort();
 
         let mut scan = CacheScan {
+            entries: DetMap::new(),
             segments: segments.len(),
-            ..CacheScan::default()
+            records: 0,
+            quarantined: 0,
+            torn: 0,
         };
         let mut logged = self.quarantined_hashes()?;
         let mut quarantine: Option<fs::File> = None;
@@ -299,15 +416,14 @@ impl ResultCache {
             // any replacement character changes the body's bytes, so
             // the checksum rejects it like any other damage.
             let bytes = fs::read(segment)?;
-            if bytes.is_empty() {
-                continue;
+            let mut lines: Vec<&[u8]> = bytes.split(|b| *b == b'\n').collect();
+            // The piece after the last newline is empty for a clean
+            // segment, else a torn tail. A record only counts once its
+            // newline is on disk: the next append truncates a newline-less
+            // tail, so serving one (even one that verifies) would lose it.
+            if lines.pop().is_some_and(|tail| !tail.is_empty()) {
+                scan.torn += 1;
             }
-            let ends_clean = bytes.last() == Some(&b'\n');
-            let mut raw_lines: Vec<&[u8]> = bytes.split(|b| *b == b'\n').collect();
-            if ends_clean {
-                raw_lines.pop();
-            }
-            let lines = raw_lines;
             for (lineno, raw) in lines.iter().enumerate() {
                 let line: &str = &String::from_utf8_lossy(raw);
                 match decode_cache_line(line) {
@@ -318,11 +434,6 @@ impl ResultCache {
                         }
                     }
                     CacheRecord::Damaged { reason } => {
-                        let is_torn_tail = lineno + 1 == lines.len() && !ends_clean;
-                        if is_torn_tail {
-                            scan.torn += 1;
-                            continue;
-                        }
                         scan.quarantined += 1;
                         let raw_hash = fnv1a(raw);
                         if logged.insert(raw_hash) {
@@ -375,12 +486,12 @@ impl ResultCache {
         Ok(hashes)
     }
 
-    /// Executes `shards` on a bounded pool of `workers` threads, each
-    /// appending verified records to its own segment (writer slot =
-    /// thread index) and flushing after every shard — a SIGKILL at any
-    /// moment leaves at most one torn tail per writer. Workers pull the
-    /// next un-started shard from a shared counter. Returns the number
-    /// of shards executed (always `shards.len()` on success).
+    /// Executes `shards` on [`run_pool`] with at most `workers` threads,
+    /// each appending verified records to its own segment (writer slot =
+    /// pool worker slot, opened on the slot's first shard) and flushing
+    /// after every shard — a SIGKILL at any moment leaves at most one torn
+    /// tail per writer. Returns the number of shards executed (always
+    /// `shards.len()` on success).
     ///
     /// The caller decides *which* shards to run — typically
     /// [`SweepPlan::novel`] — so this function is also the fault-
@@ -389,63 +500,33 @@ impl ResultCache {
     ///
     /// # Errors
     ///
-    /// Propagates the first segment-append failure.
+    /// Propagates the first (in shard order) segment-append failure.
     ///
     /// # Panics
     ///
     /// Panics if `workers` is 0, or if a simulation run itself panics.
     pub fn execute(&self, shards: &[Shard], workers: usize) -> io::Result<usize> {
         assert!(workers >= 1, "need at least one worker thread");
-        if shards.is_empty() {
-            return Ok(0);
-        }
-        let workers = workers.min(shards.len());
-        if workers == 1 {
-            let mut writer = self.writer(0)?;
-            for shard in shards {
-                let report = Runner::new(shard.config.clone()).run_single();
-                writer.append(shard.key, &shard.label, &report)?;
-            }
-            return Ok(shards.len());
-        }
-        let next = AtomicUsize::new(0);
-        let first_err: Mutex<Option<io::Error>> = Mutex::new(None);
-        std::thread::scope(|scope| {
-            for wi in 0..workers {
-                let (next, first_err) = (&next, &first_err);
-                scope.spawn(move || {
-                    let mut writer: Option<CacheWriter> = None;
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(shard) = shards.get(i) else {
-                            return;
-                        };
-                        let report = Runner::new(shard.config.clone()).run_single();
-                        let step = (|| -> io::Result<()> {
-                            let out = match &mut writer {
-                                Some(w) => w,
-                                None => writer.insert(self.writer(wi)?),
-                            };
-                            out.append(shard.key, &shard.label, &report)
-                        })();
-                        if let Err(e) = step {
-                            let mut slot = first_err
-                                .lock()
-                                .unwrap_or_else(|poison| poison.into_inner());
-                            slot.get_or_insert(e);
-                            return;
-                        }
-                    }
-                });
-            }
+        let writers: Vec<Mutex<Option<CacheWriter>>> = (0..workers.min(shards.len()))
+            .map(|_| Mutex::new(None))
+            .collect();
+        let appended = run_pool(shards.len(), workers, |worker, i| {
+            let shard = &shards[i];
+            let report = Runner::new(shard.config.clone()).run_single();
+            // Only this slot's own worker takes its lock. A poisoned slot
+            // still holds a usable writer: every append is a whole line
+            // or a torn tail the next writer truncates.
+            let mut slot = writers[worker]
+                .lock()
+                .unwrap_or_else(|poison| poison.into_inner());
+            let writer = match &mut *slot {
+                Some(w) => w,
+                None => slot.insert(self.writer(worker)?),
+            };
+            writer.append(shard.key, &shard.label, &report)
         });
-        match first_err
-            .into_inner()
-            .unwrap_or_else(|poison| poison.into_inner())
-        {
-            Some(e) => Err(e),
-            None => Ok(shards.len()),
-        }
+        appended.into_iter().collect::<io::Result<()>>()?;
+        Ok(shards.len())
     }
 }
 
@@ -471,8 +552,6 @@ impl CacheWriter {
 
 /// A sweep expanded against the cache: the full shard enumeration of a
 /// submission, with cache-aware views (novel shards, merged reports).
-/// Shard numbering is identical to [`crate::session::SweepSession`]'s —
-/// the two stores are interchangeable descriptions of the same runs.
 #[derive(Clone, Debug)]
 pub struct SweepPlan {
     shards: Vec<Shard>,
@@ -531,9 +610,9 @@ impl SweepPlan {
     ///
     /// # Errors
     ///
-    /// [`SessionError::Incomplete`] when keys are missing from the scan
-    /// (their enumeration indices are listed).
-    pub fn merged(&self, scan: &CacheScan) -> Result<Vec<RunReport>, SessionError> {
+    /// [`Incomplete`] when keys are missing from the scan (their
+    /// enumeration indices are listed).
+    pub fn merged(&self, scan: &CacheScan) -> Result<Vec<RunReport>, Incomplete> {
         let mut missing = Vec::new();
         let mut reports = Vec::with_capacity(self.shards.len());
         for shard in &self.shards {
@@ -545,7 +624,7 @@ impl SweepPlan {
         if missing.is_empty() {
             Ok(reports)
         } else {
-            Err(SessionError::Incomplete { missing })
+            Err(Incomplete { missing })
         }
     }
 }
@@ -566,6 +645,22 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("peas-cache-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    #[test]
+    fn fingerprint_ignores_seed_but_not_parameters() {
+        let a = tiny(1);
+        let b = tiny(2);
+        assert_eq!(config_fingerprint(&a), config_fingerprint(&b));
+        let mut c = tiny(1);
+        c.node_count = 26;
+        assert_ne!(config_fingerprint(&a), config_fingerprint(&c));
+    }
+
+    #[test]
+    fn streaming_fnv_matches_the_concatenation() {
+        assert_eq!(fnv1a(b""), FNV_OFFSET);
+        assert_eq!(fnv1a_parts(["ab", "", "cd"]), fnv1a(b"abcd"));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The versioned, stable serialized form of a [`RunReport`]
-//! (`schema = 1`), shared by the sweep checkpoint journal
-//! ([`crate::session`]) and the `peas-bench` drivers.
+//! (`schema = 1`), shared by the result cache ([`crate::cache`]) and the
+//! `peas-bench` binaries.
 //!
 //! The encoding is one JSON object per report with a pinned key set and
 //! key order (see the contract test in `crates/sim/tests/report_schema.rs`

@@ -7,6 +7,7 @@
 //! pool, reports returned in job order.
 
 use peas_analysis::Summary;
+use peas_des::run_pool;
 
 use crate::config::ScenarioConfig;
 use crate::metrics::RunReport;
@@ -18,8 +19,8 @@ use crate::world::World;
 /// The job list is always expanded eagerly and executed in a deterministic
 /// order: [`Runner::run`] returns reports in *job order* no matter which
 /// worker finished first, so downstream consumers (sweep points, golden
-/// fingerprints, the [`crate::session::SweepSession`] journal) can index
-/// results positionally.
+/// fingerprints, the [`crate::cache::SweepPlan`] merge) can index results
+/// positionally.
 ///
 /// ```
 /// use peas_sim::{Runner, ScenarioConfig};
@@ -103,51 +104,25 @@ impl Runner {
     /// Executes every job and returns the reports **in job order**,
     /// regardless of which worker finished first.
     ///
-    /// At most `min(parallelism, jobs)` worker threads are spawned;
-    /// workers pull the next un-started job from a shared counter, so a
-    /// slow run never leaves cores idle while work remains. With a single
-    /// worker (or a single job) the jobs simply run on the caller's
-    /// thread. Each run is fully independent (its own world, RNG streams
-    /// and medium), so the reports are identical to a serial run's — only
-    /// wall time changes.
+    /// The jobs run on [`run_pool`] with at most `min(parallelism, jobs)`
+    /// threads; with a single worker (or a single job) they simply run on
+    /// the caller's thread. Each run is fully independent (its own world,
+    /// RNG streams and medium), so the reports are identical to a serial
+    /// run's — only wall time changes.
     ///
     /// # Panics
     ///
-    /// Panics if any individual run panics (worker panics propagate
-    /// through [`std::thread::scope`]) — e.g. when a config fails
+    /// Panics if any individual run panics (the pool re-raises worker
+    /// panics on the caller's thread) — e.g. when a config fails
     /// validation.
     pub fn run(self) -> Vec<RunReport> {
         let workers = self
             .parallelism
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-            .min(self.jobs.len());
-        if workers <= 1 {
-            return self
-                .jobs
-                .into_iter()
-                .map(|config| World::new(config).run())
-                .collect();
-        }
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
         let jobs = self.jobs;
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let slots: Vec<std::sync::OnceLock<RunReport>> = (0..jobs.len())
-            .map(|_| std::sync::OnceLock::new())
-            .collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(config) = jobs.get(i) else { break };
-                    let filled = slots[i].set(World::new(config.clone()).run());
-                    debug_assert!(filled.is_ok(), "job {i} claimed twice");
-                });
-            }
-        });
-        slots
-            .into_iter()
-            // peas-lint: allow(r1-unchecked-panic) -- scope join guarantees every claimed slot was filled; the shared counter claims each exactly once
-            .map(|slot| slot.into_inner().expect("worker pool dropped a job"))
-            .collect()
+        run_pool(jobs.len(), workers, |_, i| {
+            World::new(jobs[i].clone()).run()
+        })
     }
 
     /// Executes a single-job runner and returns its one report.
@@ -158,15 +133,10 @@ impl Runner {
     /// [`Runner::run`] for multi-job runners), or if the run itself
     /// panics.
     pub fn run_single(self) -> RunReport {
-        assert_eq!(
-            self.jobs.len(),
-            1,
-            "run_single needs exactly one job, got {}",
-            self.jobs.len()
-        );
-        let mut reports = self.run();
-        // peas-lint: allow(r1-unchecked-panic) -- the assert above pins the job list to length 1
-        reports.pop().expect("one job yields one report")
+        match <[ScenarioConfig; 1]>::try_from(self.jobs) {
+            Ok([config]) => World::new(config).run(),
+            Err(jobs) => panic!("run_single needs exactly one job, got {}", jobs.len()),
+        }
     }
 }
 
@@ -274,20 +244,10 @@ mod tests {
         );
     }
 
-    #[test]
-    fn bounded_pool_preserves_job_order_with_more_jobs_than_cores() {
-        let configs: Vec<ScenarioConfig> = (1..=9).map(|seed| tiny().with_seed(seed)).collect();
-        let reports = Runner::configs(configs).run();
-        assert_eq!(reports.len(), 9);
-        for (i, report) in reports.iter().enumerate() {
-            assert_eq!(report.seed, i as u64 + 1);
-        }
-    }
-
     /// Regression test for result ordering under adversarial completion
     /// order: the first job is much heavier than the rest, so with 2+
     /// workers every later job *completes* before job 0 does. The returned
-    /// reports must still be in input order (the sweep journal replays
+    /// reports must still be in input order (sweep merges replay
     /// reports positionally).
     #[test]
     fn job_order_preserved_when_completion_order_differs() {

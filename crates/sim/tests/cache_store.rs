@@ -67,6 +67,16 @@ fn pristine() -> &'static Pristine {
     })
 }
 
+/// Byte offset just past record 1's newline.
+fn record_1_end() -> usize {
+    pristine()
+        .segment
+        .iter()
+        .position(|b| *b == b'\n')
+        .expect("newline")
+        + 1
+}
+
 fn temp_cache(tag: u64) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("peas-store-{tag}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
@@ -74,8 +84,8 @@ fn temp_cache(tag: u64) -> PathBuf {
 }
 
 /// Scans a damaged store and asserts rule 1 + rule 2 for the two-shard
-/// plan; returns the (quarantined, torn) classification counts.
-fn check_damaged_store(dir: &PathBuf) -> (usize, usize) {
+/// plan; returns the (quarantined, torn, re-run) counts.
+fn check_damaged_store(dir: &PathBuf) -> (usize, usize, usize) {
     let cache = ResultCache::open(dir).expect("open damaged cache");
     let plan = SweepPlan::new(runs());
     let p = pristine();
@@ -94,7 +104,8 @@ fn check_damaged_store(dir: &PathBuf) -> (usize, usize) {
     }
     let classified = (scan.quarantined, scan.torn);
 
-    // Rule 2: novel shards re-run and the plan converges byte-exactly.
+    // Rule 2: novel shards re-run and the plan converges byte-exactly;
+    // the re-run appends onto the damaged `cache-0.jsonl` itself.
     let novel = plan.novel(&scan);
     assert_eq!(
         novel.len() + plan.cached(&scan),
@@ -111,7 +122,55 @@ fn check_damaged_store(dir: &PathBuf) -> (usize, usize) {
         .collect();
     assert_eq!(merged, p.merged, "repaired store diverges from reference");
 
-    classified
+    (classified.0, classified.1, novel.len())
+}
+
+/// Truncates the pristine segment to `cut` bytes and checks the store:
+/// a cut that leaves a partial final line is a torn tail (never
+/// quarantined), a cut at a record boundary leaves a smaller valid store,
+/// exactly the shards whose records the cut reached re-run, and the plan
+/// converges after the re-run.
+fn check_truncation(cut: usize) {
+    let p = pristine();
+    let dir = temp_cache(0x5EED_0000 ^ cut as u64);
+    fs::create_dir_all(&dir).expect("mkdir");
+    fs::write(dir.join("cache-0.jsonl"), &p.segment[..cut]).expect("write truncated segment");
+
+    let (quarantined, torn, rerun) = check_damaged_store(&dir);
+    assert_eq!(quarantined, 0, "a truncation must never quarantine");
+    let record_1_end = record_1_end();
+    let boundary = [0, record_1_end, p.segment.len()].contains(&cut);
+    assert_eq!(
+        torn,
+        usize::from(!boundary),
+        "cut at {cut} (record 1 ends at {record_1_end})"
+    );
+    let intact = usize::from(cut >= record_1_end) + usize::from(cut == p.segment.len());
+    assert_eq!(
+        rerun,
+        2 - intact,
+        "cut at {cut} re-runs only what it reached"
+    );
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The cuts a killed writer leaves most often: none at all, a clean tear
+/// at a record boundary, and half-written first and final records.
+#[test]
+fn truncation_boundaries_and_mid_record_tears_converge() {
+    let (len, record_1_end) = (pristine().segment.len(), record_1_end());
+    for cut in [
+        0,
+        record_1_end / 2,
+        record_1_end - 1,
+        record_1_end,
+        (record_1_end + len) / 2,
+        len - 1,
+        len,
+    ] {
+        check_truncation(cut);
+    }
 }
 
 proptest! {
@@ -130,11 +189,11 @@ proptest! {
         fs::create_dir_all(&dir).expect("mkdir");
         fs::write(dir.join("cache-0.jsonl"), &bytes).expect("write damaged segment");
 
-        let (quarantined, torn) = check_damaged_store(&dir);
+        let (quarantined, torn, _) = check_damaged_store(&dir);
         // Flipping the final newline tears the tail; flipping a byte of
         // record 2 (after record 1's newline) damages only the tail line,
         // which still ends in '\n' and is therefore quarantined, not torn.
-        let record_1_len = p.segment.iter().position(|b| *b == b'\n').expect("newline");
+        let record_1_len = record_1_end() - 1;
         if offset == p.segment.len() - 1 {
             prop_assert_eq!((quarantined, torn), (0, 1), "newline flip tears the tail");
         } else if offset > record_1_len {
@@ -149,28 +208,10 @@ proptest! {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// Truncate the segment at a property-chosen offset: a cut that
-    /// leaves a partial final line is a torn tail (never quarantined),
-    /// a cut at a record boundary leaves a smaller valid store, and
-    /// either way the plan converges after a re-run.
+    /// Truncate the segment at a property-chosen offset (the full length
+    /// included, which keeps the pristine store).
     #[test]
     fn truncations_are_torn_tails_and_repaired(raw_cut in any::<u64>()) {
-        let p = pristine();
-        // Cut strictly inside the file (len keeps the pristine store).
-        let cut = (raw_cut as usize) % p.segment.len();
-        let bytes = p.segment[..cut].to_vec();
-
-        let dir = temp_cache(0x5EED_0000 ^ raw_cut);
-        fs::create_dir_all(&dir).expect("mkdir");
-        fs::write(dir.join("cache-0.jsonl"), &bytes).expect("write truncated segment");
-
-        let (quarantined, torn) = check_damaged_store(&dir);
-        prop_assert_eq!(quarantined, 0, "a truncation must never quarantine");
-        let record_1_len = p.segment.iter().position(|b| *b == b'\n').expect("newline");
-        let boundary = cut == 0 || cut == record_1_len + 1;
-        prop_assert_eq!(torn, usize::from(!boundary),
-            "cut at {} (record 1 ends at {})", cut, record_1_len);
-
-        let _ = fs::remove_dir_all(&dir);
+        check_truncation((raw_cut as usize) % (pristine().segment.len() + 1));
     }
 }
