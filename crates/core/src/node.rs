@@ -189,15 +189,30 @@ impl PeasNode {
     /// Stale timer firings (e.g. a `ReplyBackoff` arriving after the node
     /// was turned off) are ignored, so hosts need not cancel precisely.
     pub fn on_input(&mut self, now: SimTime, input: Input, rng: &mut SimRng) -> Vec<Action> {
+        let mut actions = Vec::new();
+        self.on_input_into(now, input, rng, &mut actions);
+        actions
+    }
+
+    /// Like [`PeasNode::on_input`], but appends the side effects to a
+    /// caller-owned buffer, so a host driving many inputs reuses one
+    /// allocation.
+    pub fn on_input_into(
+        &mut self,
+        now: SimTime,
+        input: Input,
+        rng: &mut SimRng,
+        out: &mut Vec<Action>,
+    ) {
         if self.mode == Mode::Dead {
-            return Vec::new();
+            return;
         }
         match input {
-            Input::WakeUp => self.on_wake(rng),
-            Input::ProbeSendTimer => self.on_probe_send(),
-            Input::ReplyWindowClosed => self.on_window_closed(now, rng),
-            Input::ReplyBackoff => self.on_reply_backoff(now),
-            Input::Frame { from, msg, info } => self.on_frame(now, from, msg, info, rng),
+            Input::WakeUp => self.on_wake(rng, out),
+            Input::ProbeSendTimer => self.on_probe_send(out),
+            Input::ReplyWindowClosed => self.on_window_closed(now, rng, out),
+            Input::ReplyBackoff => self.on_reply_backoff(now, out),
+            Input::Frame { from, msg, info } => self.on_frame(now, from, msg, info, rng, out),
         }
     }
 
@@ -215,41 +230,39 @@ impl PeasNode {
         ]
     }
 
-    fn on_wake(&mut self, rng: &mut SimRng) -> Vec<Action> {
+    fn on_wake(&mut self, rng: &mut SimRng, out: &mut Vec<Action>) {
         if self.mode != Mode::Sleeping {
-            return Vec::new(); // stale wake timer
+            return; // stale wake timer
         }
         self.mode = Mode::Probing;
         self.stats.wakeups += 1;
         self.window_replies.clear();
-        let mut actions = Vec::with_capacity(self.config.probe_count as usize + 1);
         for _ in 0..self.config.probe_count {
-            actions.push(Action::Schedule {
+            out.push(Action::Schedule {
                 timer: Timer::ProbeSend,
                 after: rng.range_duration(SimDuration::ZERO, self.config.probe_spread),
             });
         }
-        actions.push(Action::Schedule {
+        out.push(Action::Schedule {
             timer: Timer::ReplyWindow,
             after: self.config.reply_window,
         });
-        actions
     }
 
-    fn on_probe_send(&mut self) -> Vec<Action> {
+    fn on_probe_send(&mut self, out: &mut Vec<Action>) {
         if self.mode != Mode::Probing {
-            return Vec::new(); // stale probe timer
+            return; // stale probe timer
         }
         self.stats.probes_sent += 1;
-        vec![Action::Broadcast {
+        out.push(Action::Broadcast {
             msg: Message::Probe,
             range: self.config.control_tx_range(),
-        }]
+        });
     }
 
-    fn on_window_closed(&mut self, _now: SimTime, rng: &mut SimRng) -> Vec<Action> {
+    fn on_window_closed(&mut self, _now: SimTime, rng: &mut SimRng, out: &mut Vec<Action>) {
         if self.mode != Mode::Probing {
-            return Vec::new();
+            return;
         }
         if self.window_replies.is_empty() {
             // No working node within Rp: take over (Figure 1, "no REPLY
@@ -262,7 +275,6 @@ impl PeasNode {
                 self.config.measure_window_max,
             );
             self.reply_pending = false;
-            Vec::new()
         } else {
             // Working neighbor(s) exist: adapt λ and sleep again.
             self.stats.window_with_reply += 1;
@@ -274,30 +286,30 @@ impl PeasNode {
             );
             self.window_replies.clear();
             self.mode = Mode::Sleeping;
-            vec![Action::Schedule {
+            out.push(Action::Schedule {
                 timer: Timer::Wake,
                 after: rng.exp_duration(self.rate),
-            }]
+            });
         }
     }
 
-    fn on_reply_backoff(&mut self, now: SimTime) -> Vec<Action> {
+    fn on_reply_backoff(&mut self, now: SimTime, out: &mut Vec<Action>) {
         if self.mode != Mode::Working || !self.reply_pending {
-            return Vec::new(); // turned off (or killed) since scheduling
+            return; // turned off (or killed) since scheduling
         }
         self.reply_pending = false;
         self.stats.replies_sent += 1;
         // Report a freshness-capped estimate (see RateEstimator docs); the
         // minimum window age is one expected inter-probe interval at λd.
         let min_elapsed = SimDuration::from_secs_f64(1.0 / self.config.desired_rate);
-        vec![Action::Broadcast {
+        out.push(Action::Broadcast {
             msg: Message::Reply(Reply {
                 measured_rate: self.estimator.current_estimate(now, min_elapsed),
                 desired_rate: self.config.desired_rate,
                 working_time: self.working_time(now).unwrap_or(SimDuration::ZERO),
             }),
             range: self.config.control_tx_range(),
-        }]
+        });
     }
 
     fn on_frame(
@@ -307,25 +319,24 @@ impl PeasNode {
         msg: Message,
         info: RxInfo,
         rng: &mut SimRng,
-    ) -> Vec<Action> {
+        out: &mut Vec<Action>,
+    ) {
         // Fixed-power threshold rule (Section 4): only frames that appear to
         // originate within the probing range count.
         if self.config.fixed_power.is_some() && !info.stronger_than_range(self.config.probing_range)
         {
-            return Vec::new();
+            return;
         }
         match (self.mode, msg) {
             (Mode::Working, Message::Probe) => {
                 self.stats.probes_heard += 1;
-                if self.reply_pending {
-                    // Same probing burst (Section 4 sends up to three PROBE
-                    // frames per wakeup): the pending REPLY serves it, and
-                    // the estimator must not double-count the event — λ̂
-                    // measures wakeups, not frames, or Equation 2 would
-                    // regulate the aggregate to λd divided by the probe
-                    // count.
-                    Vec::new()
-                } else {
+                // With a REPLY already pending this PROBE belongs to the
+                // same probing burst (Section 4 sends up to three PROBE
+                // frames per wakeup): the pending REPLY serves it, and the
+                // estimator must not double-count the event — λ̂ measures
+                // wakeups, not frames, or Equation 2 would regulate the
+                // aggregate to λd divided by the probe count.
+                if !self.reply_pending {
                     if self.estimator.on_probe(now).is_some() {
                         self.stats.measurements += 1;
                     }
@@ -334,24 +345,23 @@ impl PeasNode {
                     // half-duplex prober is listening when the REPLY lands.
                     let after = self.config.reply_backoff_base
                         + rng.range_duration(SimDuration::ZERO, self.config.reply_backoff_max);
-                    vec![Action::Schedule {
+                    out.push(Action::Schedule {
                         timer: Timer::ReplyBackoff,
                         after,
-                    }]
+                    });
                 }
             }
             (Mode::Working, Message::Reply(reply)) => {
-                self.on_overheard_reply(now, from, reply, rng)
+                self.on_overheard_reply(now, from, reply, rng, out)
             }
             (Mode::Probing, Message::Reply(reply)) => {
                 self.stats.replies_heard += 1;
                 self.window_replies.push(reply);
-                Vec::new()
             }
             // A probing node ignores other nodes' PROBEs; sleeping nodes
             // never reach here (hosts don't deliver to a powered-off radio),
             // but stay safe if they do.
-            _ => Vec::new(),
+            _ => {}
         }
     }
 
@@ -368,10 +378,11 @@ impl PeasNode {
         from: NodeId,
         reply: Reply,
         rng: &mut SimRng,
-    ) -> Vec<Action> {
+        out: &mut Vec<Action>,
+    ) {
         self.stats.replies_overheard += 1;
         if !self.config.turnoff_enabled {
-            return Vec::new();
+            return;
         }
         let my_tw = self.working_time(now).unwrap_or(SimDuration::ZERO);
         let eps = self.config.turnoff_tie_epsilon;
@@ -395,32 +406,20 @@ impl PeasNode {
         } else {
             my_tw < reply.working_time
         };
-        if std::env::var("PEAS_TRACE_TURNOFF").is_ok() {
-            eprintln!(
-                "TURNOFF-EVAL me={} from={} my_tw={:.3} sender_tw={:.3} yield={}",
-                self.id.0,
-                from.0,
-                my_tw.as_secs_f64(),
-                reply.working_time.as_secs_f64(),
-                i_yield
-            );
-        }
         if !i_yield {
-            return Vec::new(); // the sender is newer; it should yield, not us
+            return; // the sender is newer; it should yield, not us
         }
         self.stats.turnoffs += 1;
         self.mode = Mode::Sleeping;
         self.work_started = None;
-        let mut actions = Vec::new();
         if self.reply_pending {
             self.reply_pending = false;
-            actions.push(Action::Cancel(Timer::ReplyBackoff));
+            out.push(Action::Cancel(Timer::ReplyBackoff));
         }
-        actions.push(Action::Schedule {
+        out.push(Action::Schedule {
             timer: Timer::Wake,
             after: rng.exp_duration(self.rate),
         });
-        actions
     }
 
     /// The current operation mode.

@@ -6,7 +6,6 @@
 
 use peas_des::rng::SimRng;
 use peas_des::time::SimDuration;
-use peas_des::DetSet;
 
 use crate::config::GrabConfig;
 use crate::msg::{GrabMessage, Report};
@@ -83,7 +82,10 @@ impl CostState {
 pub struct GrabRelay {
     config: GrabConfig,
     cost: CostState,
-    seen_reports: DetSet<(u32, u64)>,
+    /// `(source, seq)` of every report relayed this working session,
+    /// sorted ascending. Sequence numbers mostly arrive in order, so the
+    /// common lookup is against the last key (see `GrabRelay::seen`).
+    seen_reports: Vec<(u32, u64)>,
     forwarded: u64,
     dropped_budget: u64,
     dropped_gradient: u64,
@@ -103,7 +105,7 @@ impl GrabRelay {
         GrabRelay {
             config,
             cost: CostState::new(),
-            seen_reports: DetSet::new(),
+            seen_reports: Vec::new(),
             forwarded: 0,
             dropped_budget: 0,
             dropped_gradient: 0,
@@ -129,7 +131,8 @@ impl GrabRelay {
     /// before.
     pub fn on_report(&mut self, report: Report, rng: &mut SimRng) -> Option<Outgoing> {
         let key = (report.source.0, report.seq);
-        if self.seen_reports.contains(&key) {
+        let slot = self.seen(key);
+        if slot.is_ok() {
             self.duplicates += 1;
             return None;
         }
@@ -144,7 +147,9 @@ impl GrabRelay {
             self.dropped_budget += 1;
             return None;
         }
-        self.seen_reports.insert(key);
+        if let Err(at) = slot {
+            self.seen_reports.insert(at, key);
+        }
         self.forwarded += 1;
         Some(Outgoing {
             msg: GrabMessage::Report(Report {
@@ -154,6 +159,19 @@ impl GrabRelay {
             }),
             delay: rng.range_duration(SimDuration::ZERO, self.config.forward_delay_max),
         })
+    }
+
+    /// Where `key` sits in the sorted `seen_reports`: `Ok` if present,
+    /// `Err(insertion point)` if not. A key past the last element (a new
+    /// report) or equal to it (another copy of the newest) is answered
+    /// without a search.
+    fn seen(&self, key: (u32, u64)) -> Result<usize, usize> {
+        match self.seen_reports.last() {
+            None => Err(0),
+            Some(&last) if key > last => Err(self.seen_reports.len()),
+            Some(&last) if key == last => Ok(self.seen_reports.len() - 1),
+            Some(_) => self.seen_reports.binary_search(&key),
+        }
     }
 
     /// The node's current hop distance to the sink, if known.

@@ -144,3 +144,104 @@ proptest! {
         prop_assert_eq!(source.generated(), count as u64);
     }
 }
+
+/// The relay's duplicate suppression restated over a `BTreeSet`: the
+/// same cost, gradient and budget rules, with set membership done the
+/// obvious way.
+struct ModelRelay {
+    cost: CostState,
+    seen: std::collections::BTreeSet<(u32, u64)>,
+    counters: [u64; 4],
+}
+
+impl ModelRelay {
+    fn on_report(&mut self, report: Report) -> Option<(u32, u32)> {
+        let key = (report.source.0, report.seq);
+        if self.seen.contains(&key) {
+            self.counters[3] += 1;
+            return None;
+        }
+        let my_cost = self.cost.cost()?;
+        if my_cost >= report.sender_cost {
+            self.counters[2] += 1;
+            return None;
+        }
+        if !report.forwardable_at(my_cost) {
+            self.counters[1] += 1;
+            return None;
+        }
+        self.seen.insert(key);
+        self.counters[0] += 1;
+        Some((my_cost, report.hops + 1))
+    }
+}
+
+proptest! {
+    /// The sorted-vector duplicate check agrees with a `BTreeSet` model on
+    /// out-of-order `(source, seq)` streams with interleaved ADVs and
+    /// resets: same forwarded frames, same delay draws, same counters.
+    #[test]
+    fn sorted_seen_reports_match_a_btreeset_model(
+        ops in prop::collection::vec((0u8..16, 0u32..4, 0u64..24, 0u32..8, 0u32..12), 1..200),
+        seed in any::<u64>(),
+    ) {
+        let mut relay = GrabRelay::new(GrabConfig::paper());
+        let mut model = ModelRelay {
+            cost: CostState::new(),
+            seen: std::collections::BTreeSet::new(),
+            counters: [0; 4],
+        };
+        let mut rng = SimRng::new(seed);
+        let mut model_rng = SimRng::new(seed);
+        for (kind, source, seq, cost, budget) in ops {
+            match kind {
+                0 => {
+                    relay.reset();
+                    model.cost.reset();
+                    model.seen.clear();
+                }
+                1 | 2 => {
+                    let got = relay.on_adv(kind.into(), cost, &mut rng);
+                    let improved = model.cost.observe_adv(kind.into(), cost);
+                    prop_assert_eq!(got.is_some(), improved.is_some());
+                    if got.is_some() {
+                        model_rng.range_duration(
+                            peas_des::time::SimDuration::ZERO,
+                            GrabConfig::paper().adv_delay_max,
+                        );
+                    }
+                }
+                _ => {
+                    let report = Report {
+                        source: NodeId(source),
+                        seq,
+                        sender_cost: cost,
+                        hops: 1,
+                        budget,
+                    };
+                    let got = relay.on_report(report, &mut rng);
+                    let want = model.on_report(report);
+                    match (got, want) {
+                        (None, None) => {}
+                        (Some(out), Some((sender_cost, hops))) => {
+                            let delay = model_rng.range_duration(
+                                peas_des::time::SimDuration::ZERO,
+                                GrabConfig::paper().forward_delay_max,
+                            );
+                            prop_assert_eq!(out.delay, delay);
+                            prop_assert_eq!(
+                                out.msg,
+                                GrabMessage::Report(Report { sender_cost, hops, ..report })
+                            );
+                        }
+                        (got, want) => prop_assert!(false, "relay {:?} vs model {:?}", got, want),
+                    }
+                }
+            }
+            prop_assert_eq!(
+                [relay.forwarded(), relay.dropped_budget(), relay.dropped_gradient(), relay.duplicates()],
+                model.counters
+            );
+        }
+    }
+}

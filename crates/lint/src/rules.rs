@@ -20,7 +20,8 @@ use crate::sanitize::{is_ident, sanitize};
 
 /// Crates that hold simulation logic: anything here feeds the event loop
 /// and therefore the golden fingerprints. `scenario` belongs here because
-/// its compiler produces the configs those fingerprints are pinned to.
+/// its compiler produces the configs those fingerprints are pinned to;
+/// `core` is the PEAS state machine every sensor runs.
 pub const SIM_LOGIC_CRATES: &[&str] = &[
     "des",
     "sim",
@@ -30,6 +31,7 @@ pub const SIM_LOGIC_CRATES: &[&str] = &[
     "baselines",
     "scenario",
     "model",
+    "core",
 ];
 
 /// Crates whose public API surface must document panics (R2).
@@ -48,6 +50,10 @@ pub const D4: &str = "d4-scenario-drift";
 /// go through `peas_des::EventQueue` (the ladder backend), not ad-hoc
 /// heaps; the retained heap reference implementation carries waivers.
 pub const D5: &str = "d5-heap-event-queue";
+/// Rule: forbid environment-variable reads in sim-logic library code — a
+/// run's behaviour must follow from its config and seed alone, not from
+/// whatever the calling shell exported.
+pub const D6: &str = "d6-ambient-env";
 /// Rule: forbid `unwrap`/`expect` in sim-logic library code.
 pub const R1: &str = "r1-unchecked-panic";
 /// Rule: public functions in `des`/`sim` that can panic must say so.
@@ -63,7 +69,7 @@ pub const R3: &str = "r3-unchecked-cast";
 pub const W0: &str = "w0-waiver-without-reason";
 
 /// All enforceable rule ids (what `allow(...)` may name).
-pub const ALL_RULES: &[&str] = &[D1, D2, D3, D4, D5, R1, R2, R3];
+pub const ALL_RULES: &[&str] = &[D1, D2, D3, D4, D5, D6, R1, R2, R3];
 
 /// Where a source file sits in its crate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -158,6 +164,12 @@ const TOKEN_RULES: &[TokenRule] = &[
                   implementation may use BinaryHeap, under a waiver",
     },
     TokenRule {
+        id: D6,
+        patterns: &["env::var", "env::var_os"],
+        message: "environment reads are ambient input the config and seed do not pin; pass \
+                  the value in through the scenario config (or read it in a bin frontend)",
+    },
+    TokenRule {
         id: R1,
         patterns: &[".unwrap()", ".expect("],
         message: "unchecked panic in sim-logic library code; handle the None/Err case, or \
@@ -185,8 +197,9 @@ fn rule_applies(id: &str, ctx: &FileCtx) -> bool {
         // Ad-hoc heaps: sim-logic crates, library and bin targets alike —
         // any heap feeding the event loop endangers the delivery order.
         _ if id == D5 => SIM_LOGIC_CRATES.contains(&ctx.crate_name.as_str()),
-        // Unchecked panics: sim-logic library code only.
-        _ if id == R1 => {
+        // Environment reads and unchecked panics: sim-logic library code
+        // only (frontends legitimately read their environment).
+        _ if id == D6 || id == R1 => {
             SIM_LOGIC_CRATES.contains(&ctx.crate_name.as_str()) && ctx.kind == FileKind::Lib
         }
         _ if id == R2 => {
@@ -593,6 +606,38 @@ mod tests {
         assert_eq!(rules_of(&r), vec![R1]);
         let waived = format!("// peas-lint: allow(r1-unchecked-panic) -- test invariant\n{src}");
         let r = scan_source(&sim_lib("x.rs"), &waived);
+        assert!(r.diagnostics.is_empty());
+        assert_eq!(r.waived, 1);
+    }
+
+    #[test]
+    fn d6_fires_on_env_reads_in_sim_logic_libraries_only() {
+        let src = "fn f() -> bool {\n    let x = std::env::var(\"X\").is_ok();\n    x || env::var_os(\"Y\").is_some()\n}\n";
+        let core_lib = FileCtx {
+            crate_name: "core".to_string(),
+            rel_path: "crates/core/src/node.rs".to_string(),
+            kind: FileKind::Lib,
+        };
+        let r = scan_source(&core_lib, src);
+        assert_eq!(rules_of(&r), vec![D6, D6]);
+        assert_eq!(r.diagnostics[0].line, 2);
+        assert_eq!(r.diagnostics[1].line, 3, "env::var_os is its own match");
+        // Frontends and non-sim crates may read their environment.
+        let bin = FileCtx {
+            kind: FileKind::Bin,
+            ..core_lib.clone()
+        };
+        assert!(scan_source(&bin, src).diagnostics.is_empty());
+        let bench = FileCtx {
+            crate_name: "bench".to_string(),
+            ..core_lib.clone()
+        };
+        assert!(scan_source(&bench, src).diagnostics.is_empty());
+        // Identifier boundaries: `env::vars` and `myenv::var` are other names.
+        let r = scan_source(&core_lib, "fn f() { env::vars(); myenv::var(); }\n");
+        assert!(r.diagnostics.is_empty(), "{:?}", r.diagnostics);
+        let waived = "fn f() -> bool {\n    // peas-lint: allow(d6-ambient-env) -- test invariant\n    std::env::var(\"X\").is_ok()\n}\n";
+        let r = scan_source(&core_lib, waived);
         assert!(r.diagnostics.is_empty());
         assert_eq!(r.waived, 1);
     }

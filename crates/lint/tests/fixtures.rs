@@ -4,7 +4,7 @@
 
 use std::path::{Path, PathBuf};
 
-use peas_lint::rules::{D1, D2, D3, D4, D5, R1, R2, R3};
+use peas_lint::rules::{D1, D2, D3, D4, D5, D6, R1, R2, R3};
 use peas_lint::{exit_code, render_json, run_lint};
 
 fn fixtures(tree: &str) -> PathBuf {
@@ -17,7 +17,7 @@ fn fixtures(tree: &str) -> PathBuf {
 fn every_rule_fires_on_its_violation_fixture() {
     let report = run_lint(&fixtures("violations")).expect("fixture tree readable");
     let fired: Vec<&str> = report.diagnostics.iter().map(|d| d.rule).collect();
-    for rule in [D1, D2, D3, D4, D5, R1, R2, R3] {
+    for rule in [D1, D2, D3, D4, D5, D6, R1, R2, R3] {
         assert!(
             fired.contains(&rule),
             "rule {rule} did not fire; fired = {fired:?}"
@@ -43,6 +43,8 @@ fn violation_fixtures_point_at_the_right_files() {
     assert!(find(D4).file.ends_with("scenarios/dead.peas"));
     assert!(find(D4).message.contains("dead.peas"));
     assert!(find(D5).file.ends_with("crates/sim/src/d5_heap.rs"));
+    assert!(find(D6).file.ends_with("crates/core/src/d6_env.rs"));
+    assert!(find(D6).snippet.contains("env::var"));
     assert!(find(R1).file.ends_with("crates/grab/src/r1_panic.rs"));
     assert!(find(R2).file.ends_with("crates/des/src/r2_undoc.rs"));
     assert!(find(R3).file.ends_with("crates/model/src/r3_cast.rs"));
@@ -63,7 +65,7 @@ fn waived_fixtures_are_silent_but_counted() {
     );
     // One waived site per rule, except d1/d2/d5 which waive two sites
     // each; plus the waived retired.peas scenario (d4).
-    assert_eq!(report.waived, 11, "waiver bookkeeping");
+    assert_eq!(report.waived, 12, "waiver bookkeeping");
     assert_eq!(exit_code(&report), 0);
 }
 
@@ -71,7 +73,7 @@ fn waived_fixtures_are_silent_but_counted() {
 fn json_output_round_trips_the_fixture_rules() {
     let report = run_lint(&fixtures("violations")).expect("fixture tree readable");
     let json = render_json(&report);
-    for rule in [D1, D2, D3, D4, D5, R1, R2, R3] {
+    for rule in [D1, D2, D3, D4, D5, D6, R1, R2, R3] {
         assert!(
             json.contains(&format!("\"rule\":\"{rule}\"")),
             "{rule} in JSON"

@@ -14,13 +14,29 @@
 //! ## Storage and determinism
 //!
 //! In-flight transmissions live in dense, slot-indexed storage: a slot (and
-//! its receiver-list allocation) is recycled through a free list once its
+//! its per-copy allocation) is recycled through a free list once its
 //! transmission completes, so the steady-state hot path performs no heap
-//! allocation. Random loss is drawn once per decodable receiver, in
-//! [`SpatialGrid`] candidate order (bucket row-major, insertion order within
-//! a bucket); that draw order is part of the medium's determinism contract
-//! and is relied upon by the differential tests against the brute-force
-//! reference implementation (see `reference.rs`).
+//! allocation. Each slot names its receivers by a span of decode rows
+//! (below), and keeps one small record per copy: the loss draw, whether
+//! the copy began corrupted, and the overlap epoch it began in. Random loss
+//! is drawn once per decodable receiver, in [`SpatialGrid`] candidate order
+//! (bucket row-major, insertion order within a bucket); that draw order is
+//! part of the medium's determinism contract and is relied upon by the
+//! differential tests against the brute-force reference implementation
+//! (see `reference.rs`).
+//!
+//! Collisions are decided by two `u32` counters per node instead of a list
+//! of the transmissions reaching it. `arriving` counts the transmissions
+//! arriving at the node right now, its own included (a half-duplex radio
+//! hears nothing while it sends); `overlap_epoch` is bumped whenever an
+//! arrival begins while another is already live there. A copy is
+//! corrupted iff the node was busy when the copy began, or the node's
+//! epoch moved on before the copy completed: exactly the copies that
+//! overlapped another arrival at their receiver. A frame stays live until
+//! [`Medium::complete`] is called for it, so of two calls at the same
+//! instant the one made first happens first. Completion only compares the
+//! epoch and decrements the count, one counter per copy whatever the
+//! overlap.
 //!
 //! ## Static-topology fast path
 //!
@@ -125,43 +141,77 @@ pub struct MediumStats {
     pub random_losses: u64,
 }
 
-/// Marks an [`Arrival`] as the transmitting node's own (half-duplex) slot
-/// occupation rather than a receiver entry.
-const SENDER_ENTRY: u32 = u32::MAX;
+/// [`RowSpan::class`] tag: the receivers were found by a live grid query
+/// and their decode rows live in the slot's own `rows` buffer.
+const OWN_ROWS: u32 = u32::MAX;
 
-/// Sentinel slot meaning "no arrival" in the inline per-node arrival slot
-/// (valid slots stay below `u32::MAX`; `start_broadcast` asserts it).
-const NO_ARRIVAL: u32 = u32::MAX;
-
-/// One transmission currently arriving at a node.
+/// Where a transmission's receivers are listed: decode rows `lo..hi` of
+/// range class `class`, or of the slot's own buffer for [`OWN_ROWS`].
 #[derive(Clone, Copy, Debug)]
-struct Arrival {
-    /// Storage slot of the transmission.
-    slot: u32,
-    /// Index into that slot's receiver list, or [`SENDER_ENTRY`] when the
-    /// node is the transmission's sender.
-    entry: u32,
+struct RowSpan {
+    class: u32,
+    lo: u32,
+    hi: u32,
 }
 
-/// One receiver's copy of an in-flight frame.
+impl RowSpan {
+    fn rows<'a>(self, tables: &'a [DecodeTable], own: &'a [DecodeRow]) -> &'a [DecodeRow] {
+        let rows = match self.class {
+            OWN_ROWS => own,
+            c => &tables[c as usize].rows,
+        };
+        &rows[self.lo as usize..self.hi as usize]
+    }
+}
+
+/// Collision bookkeeping for one node (see the module docs).
+#[derive(Clone, Copy, Debug, Default)]
+struct NodeAir {
+    /// Transmissions arriving at the node now, its own included.
+    arriving: u32,
+    /// Bumped whenever an arrival begins while another is live here.
+    overlap_epoch: u32,
+}
+
+impl NodeAir {
+    /// Registers one more arrival; returns whether it began corrupted
+    /// (something else was already arriving). Every live arrival sees the
+    /// epoch move and is corrupted with it.
+    fn begin(&mut self) -> bool {
+        let busy = self.arriving > 0;
+        if busy {
+            self.overlap_epoch = self.overlap_epoch.wrapping_add(1);
+        }
+        self.arriving += 1;
+        busy
+    }
+}
+
+/// One receiver's copy of an in-flight frame. The receiver and its link
+/// are read back from the slot's decode row only when the copy is
+/// delivered.
 #[derive(Clone, Copy, Debug)]
-struct RxEntry {
-    rx: NodeId,
-    info: RxInfo,
+struct RxCopy {
+    /// The receiver's overlap epoch right after this copy began.
+    epoch: u32,
     /// Dropped by the uniform loss process.
     lost: bool,
-    /// Destroyed by an overlapping transmission at this receiver.
+    /// Another arrival was live at the receiver when this copy began.
     corrupted: bool,
 }
 
-/// Dense per-slot transmission state. The `receivers` allocation is kept
-/// across reuse so steady-state broadcasts allocate nothing.
+/// Dense per-slot transmission state. The `rows` and `copies` allocations
+/// are kept across reuse so steady-state broadcasts allocate nothing.
 struct TxSlot {
     generation: u32,
     active: bool,
     sender: NodeId,
-    end: SimTime,
-    receivers: Vec<RxEntry>,
+    /// The receivers, in row order.
+    span: RowSpan,
+    /// Decode rows found by a live grid query (unclassified ranges only).
+    rows: Vec<DecodeRow>,
+    /// One record per receiver, in row order.
+    copies: Vec<RxCopy>,
 }
 
 /// Grid cell size used when no range classes are declared. Chosen for the
@@ -340,15 +390,8 @@ pub struct Medium {
     /// `free` and recycled by the next broadcast.
     slots: Vec<TxSlot>,
     free: Vec<u32>,
-    /// Per node: the first (usually only) transmission currently arriving
-    /// there (plus its own), inline so the common zero/one-arrival case is
-    /// a single flat-array access instead of a per-node heap Vec;
-    /// `slot == NO_ARRIVAL` means none. The list's internal order is
-    /// unobservable — corruption marks every entry and removal is by
-    /// membership — so the first/overflow split changes nothing.
-    arrivals_first: Vec<Arrival>,
-    /// Rare overflow: second and later concurrent arrivals per node.
-    arrivals_more: Vec<Vec<Arrival>>,
+    /// Per node: arrival count and overlap epoch.
+    air: Vec<NodeAir>,
     /// Ongoing transmissions for carrier sensing, bucketed by cell.
     on_air: CarrierGrid,
     /// Reused buffer for the in-reach candidates of one broadcast.
@@ -492,14 +535,7 @@ impl Medium {
             fast_path: true,
             slots: Vec::new(),
             free: Vec::new(),
-            arrivals_first: vec![
-                Arrival {
-                    slot: NO_ARRIVAL,
-                    entry: 0,
-                };
-                positions.len()
-            ],
-            arrivals_more: vec![Vec::new(); positions.len()],
+            air: vec![NodeAir::default(); positions.len()],
             on_air: CarrierGrid::new(field, grid_cell, positions.len()),
             scratch: Vec::new(),
             stats: MediumStats::default(),
@@ -595,8 +631,6 @@ impl Medium {
                 s.generation = s.generation.wrapping_add(1);
                 s.active = true;
                 s.sender = sender;
-                s.end = end;
-                s.receivers.clear();
                 slot
             }
             None => {
@@ -608,8 +642,13 @@ impl Medium {
                     generation: 0,
                     active: true,
                     sender,
-                    end,
-                    receivers: Vec::new(),
+                    span: RowSpan {
+                        class: OWN_ROWS,
+                        lo: 0,
+                        hi: 0,
+                    },
+                    rows: Vec::new(),
+                    copies: Vec::new(),
                 });
                 // peas-lint: allow(r3-unchecked-cast) -- live slots are bounded by in-flight transmissions, one per node
                 (self.slots.len() - 1) as u32
@@ -626,49 +665,42 @@ impl Medium {
             Some(c) => self.tables[c].reach,
             None => self.model.max_reach(intended_range),
         };
-        let class = class.filter(|_| self.fast_path);
-        // Sender occupies its own radio (half-duplex): its entry corrupts
-        // any frame arriving during this transmission.
-        self.note_arrival(slot, SENDER_ENTRY, sender);
-        // Take the receiver list out of the slot so `push_receiver` can
-        // borrow `self` mutably; no entry of the list can be reached through
-        // `self.arrivals` while it is detached (each receiver is registered
-        // at most once per transmission, and only after its entry exists).
-        let mut receivers = std::mem::take(&mut self.slots[slot as usize].receivers);
-        if let Some(class) = class {
-            // Fast path: replay the precomputed decode row. Same receivers,
-            // same order, same loss draws as the query path below.
-            let lo = self.tables[class].offsets[sender.index()] as usize;
-            let hi = self.tables[class].offsets[sender.index() + 1] as usize;
-            for k in lo..hi {
-                let row = self.tables[class].rows[k];
-                self.push_receiver(slot, &mut receivers, NodeId(row.rx), row.dist, row.eff, rng);
+        match class.filter(|_| self.fast_path) {
+            Some(c) => {
+                // Fast path: replay the precomputed decode row. Same
+                // receivers, same order, same loss draws as the query path.
+                self.slots[slot as usize].span = RowSpan {
+                    // peas-lint: allow(r3-unchecked-cast) -- class indexes the handful of declared range classes
+                    class: c as u32,
+                    lo: self.tables[c].offsets[sender.index()],
+                    hi: self.tables[c].offsets[sender.index() + 1],
+                };
             }
-        } else {
-            let mut in_reach = std::mem::take(&mut self.scratch);
-            in_reach.clear();
-            in_reach.extend(self.grid.within_entries(sender_pos, reach));
-            for &(idx, pos) in &in_reach {
-                if idx == sender.index() {
-                    continue;
-                }
-                let rx = NodeId::from_index(idx);
-                let dist = sender_pos.distance(pos);
-                let eff = self.model.effective_distance(Link {
-                    tx: sender,
-                    rx,
-                    tx_pos: sender_pos,
-                    rx_pos: pos,
-                    distance: dist,
-                });
-                if eff > intended_range {
-                    continue; // too weak to decode at this power level
-                }
-                self.push_receiver(slot, &mut receivers, rx, dist, eff, rng);
-            }
-            self.scratch = in_reach;
+            None => self.query_rows(slot as usize, sender, intended_range, reach),
         }
-        self.slots[slot as usize].receivers = receivers;
+
+        // Sender occupies its own radio (half-duplex): its arrival
+        // corrupts any frame reaching it during this transmission.
+        self.air[sender.index()].begin();
+        let Medium {
+            tables,
+            slots,
+            air,
+            loss_rate,
+            ..
+        } = self;
+        let s = &mut slots[slot as usize];
+        s.copies.clear();
+        for row in s.span.rows(tables, &s.rows) {
+            let lost = rng.bernoulli(*loss_rate);
+            let node = &mut air[row.rx as usize];
+            let corrupted = node.begin();
+            s.copies.push(RxCopy {
+                epoch: node.overlap_epoch,
+                lost,
+                corrupted,
+            });
+        }
         self.on_air.insert(sender_pos, reach, end, now);
         Transmission {
             id,
@@ -677,108 +709,46 @@ impl Medium {
         }
     }
 
-    /// Registers `rx` as a decodable receiver of the transmission in `slot`
-    /// (whose receiver list is detached as `receivers`): draws the loss
-    /// process, marks overlap corruption in both directions, and appends the
-    /// entry plus its arrival marker.
-    fn push_receiver(
-        &mut self,
-        slot: u32,
-        receivers: &mut Vec<RxEntry>,
-        rx: NodeId,
-        dist: f64,
-        eff: f64,
-        rng: &mut SimRng,
-    ) {
-        let lost = rng.bernoulli(self.loss_rate);
-        let n = rx.index();
-        // All stored arrivals still have end > "now" (completed ones are
-        // removed at their end instant), so any existing entry overlaps.
-        let corrupted = self.arrivals_first[n].slot != NO_ARRIVAL;
-        if corrupted {
-            self.corrupt_existing(n);
-        }
-        self.push_arrival(
-            n,
-            Arrival {
-                slot,
-                // peas-lint: allow(r3-unchecked-cast) -- receiver entries are bounded by the node count, validated below u32
-                entry: receivers.len() as u32,
-            },
-        );
-        receivers.push(RxEntry {
-            rx,
-            info: RxInfo {
+    /// Fills `slot`'s own row buffer with the decodable receivers of a
+    /// broadcast at an unclassified range (or with the fast path off):
+    /// the live grid query, in candidate order, narrowed through the
+    /// propagation model exactly as the decode tables were at build.
+    fn query_rows(&mut self, slot: usize, sender: NodeId, intended_range: f64, reach: f64) {
+        let sender_pos = self.positions[sender.index()];
+        let mut rows = std::mem::take(&mut self.slots[slot].rows);
+        rows.clear();
+        let mut in_reach = std::mem::take(&mut self.scratch);
+        in_reach.clear();
+        in_reach.extend(self.grid.within_entries(sender_pos, reach));
+        for &(idx, pos) in &in_reach {
+            if idx == sender.index() {
+                continue;
+            }
+            let dist = sender_pos.distance(pos);
+            let eff = self.model.effective_distance(Link {
+                tx: sender,
+                rx: NodeId::from_index(idx),
+                tx_pos: sender_pos,
+                rx_pos: pos,
                 distance: dist,
-                effective_distance: eff,
-            },
-            lost,
-            corrupted,
-        });
-    }
-
-    /// Registers that transmission `slot` is arriving at `node` (as receiver
-    /// entry `entry`, or as the sender itself), corrupting any overlap in
-    /// both directions.
-    fn note_arrival(&mut self, slot: u32, entry: u32, node: NodeId) {
-        let n = node.index();
-        // All stored arrivals still have end > "now" (completed ones are
-        // removed at their end instant), so any existing entry overlaps.
-        // Corruption of a sender's own slot occupation has no observable
-        // effect (the sender hears nothing anyway), so only receiver
-        // entries carry the flag.
-        if self.arrivals_first[n].slot != NO_ARRIVAL {
-            self.corrupt_existing(n);
-            if entry != SENDER_ENTRY {
-                self.slots[slot as usize].receivers[entry as usize].corrupted = true;
-            }
-        }
-        self.push_arrival(n, Arrival { slot, entry });
-    }
-
-    /// Marks every receiver entry currently arriving at node `n` corrupted.
-    fn corrupt_existing(&mut self, n: usize) {
-        let first = self.arrivals_first[n];
-        if first.entry != SENDER_ENTRY {
-            self.slots[first.slot as usize].receivers[first.entry as usize].corrupted = true;
-        }
-        for k in 0..self.arrivals_more[n].len() {
-            let a = self.arrivals_more[n][k];
-            if a.entry != SENDER_ENTRY {
-                self.slots[a.slot as usize].receivers[a.entry as usize].corrupted = true;
-            }
-        }
-    }
-
-    /// Appends an arrival marker for node `n`: into the inline slot when
-    /// free, the overflow list otherwise.
-    fn push_arrival(&mut self, n: usize, a: Arrival) {
-        if self.arrivals_first[n].slot == NO_ARRIVAL {
-            self.arrivals_first[n] = a;
-        } else {
-            self.arrivals_more[n].push(a);
-        }
-    }
-
-    /// Drops `node`'s arrival marker for `slot` (order-insensitive).
-    fn remove_arrival(&mut self, node: NodeId, slot: u32) {
-        let n = node.index();
-        if self.arrivals_first[n].slot == slot {
-            // Promote any overflow entry into the inline slot; which one is
-            // immaterial (the list is a set).
-            self.arrivals_first[n] = self.arrivals_more[n].pop().unwrap_or(Arrival {
-                slot: NO_ARRIVAL,
-                entry: 0,
             });
-            return;
+            if eff <= intended_range {
+                rows.push(DecodeRow {
+                    rx: NodeId::from_index(idx).0,
+                    dist,
+                    eff,
+                });
+            }
         }
-        let list = &mut self.arrivals_more[n];
-        let pos = list
-            .iter()
-            .position(|a| a.slot == slot)
-            // peas-lint: allow(r1-unchecked-panic) -- markers are added on start_broadcast and removed exactly once on complete/abort
-            .expect("arrival bookkeeping out of sync");
-        list.swap_remove(pos);
+        self.scratch = in_reach;
+        let s = &mut self.slots[slot];
+        s.span = RowSpan {
+            class: OWN_ROWS,
+            lo: 0,
+            // peas-lint: allow(r3-unchecked-cast) -- one row per node, and node ids fit u32
+            hi: rows.len() as u32,
+        };
+        s.rows = rows;
     }
 
     /// Completes a transmission, reporting every physical receiver's
@@ -802,6 +772,41 @@ impl Medium {
     ///
     /// Panics if `tx` was never started or was already completed.
     pub fn complete_into(&mut self, tx: TxId, out: &mut Vec<Delivery>) {
+        self.finish(tx, |_, _| true, out);
+    }
+
+    /// Like [`Medium::complete_into`], but writes only the copies that
+    /// arrived intact at a receiver for which `listening` holds — the
+    /// ones a host would act on. Every copy's outcome is still counted in
+    /// [`Medium::stats`], so the counters match [`Medium::complete_into`]'s
+    /// exactly; only the unused [`Delivery`] records are never built.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tx` was never started or was already completed.
+    pub fn complete_listening(
+        &mut self,
+        tx: TxId,
+        listening: impl Fn(usize) -> bool,
+        out: &mut Vec<Delivery>,
+    ) {
+        self.finish(
+            tx,
+            |rx, outcome| outcome == RxOutcome::Ok && listening(rx),
+            out,
+        );
+    }
+
+    /// The completion loop behind [`Medium::complete_into`] and
+    /// [`Medium::complete_listening`]: releases the transmission's
+    /// arrivals, decides and counts every copy's outcome, and writes a
+    /// [`Delivery`] for each copy `keep(receiver, outcome)` accepts.
+    fn finish(
+        &mut self,
+        tx: TxId,
+        keep: impl Fn(usize, RxOutcome) -> bool,
+        out: &mut Vec<Delivery>,
+    ) {
         out.clear();
         let slot = tx.slot();
         let known = self
@@ -812,32 +817,44 @@ impl Medium {
             known,
             "complete() called for unknown or already-completed transmission"
         );
-        let sender = self.slots[slot].sender;
-        // peas-lint: allow(r3-unchecked-cast) -- slot round-trips through TxId's packed low u32
-        self.remove_arrival(sender, slot as u32);
-        for i in 0..self.slots[slot].receivers.len() {
-            let e = self.slots[slot].receivers[i];
-            // peas-lint: allow(r3-unchecked-cast) -- slot round-trips through TxId's packed low u32
-            self.remove_arrival(e.rx, slot as u32);
-            let outcome = if e.corrupted {
-                self.stats.collisions += 1;
+        let Medium {
+            tables,
+            slots,
+            air,
+            stats,
+            free,
+            ..
+        } = self;
+        let s = &mut slots[slot];
+        air[s.sender.index()].arriving -= 1;
+        for (copy, row) in s.copies.iter().zip(s.span.rows(tables, &s.rows)) {
+            let rx = row.rx as usize;
+            let node = &mut air[rx];
+            node.arriving -= 1;
+            let outcome = if copy.corrupted || node.overlap_epoch != copy.epoch {
+                stats.collisions += 1;
                 RxOutcome::Collision
-            } else if e.lost {
-                self.stats.random_losses += 1;
+            } else if copy.lost {
+                stats.random_losses += 1;
                 RxOutcome::RandomLoss
             } else {
-                self.stats.deliveries_ok += 1;
+                stats.deliveries_ok += 1;
                 RxOutcome::Ok
             };
-            out.push(Delivery {
-                receiver: e.rx,
-                info: e.info,
-                outcome,
-            });
+            if keep(rx, outcome) {
+                out.push(Delivery {
+                    receiver: NodeId(row.rx),
+                    info: RxInfo {
+                        distance: row.dist,
+                        effective_distance: row.eff,
+                    },
+                    outcome,
+                });
+            }
         }
-        self.slots[slot].active = false;
+        s.active = false;
         // peas-lint: allow(r3-unchecked-cast) -- slot round-trips through TxId's packed low u32
-        self.free.push(slot as u32);
+        free.push(slot as u32);
     }
 
     /// Medium-wide counters.
@@ -992,6 +1009,108 @@ mod tests {
         let dels_b = m.complete(tx_b.id);
         assert!(dels_a.iter().all(Delivery::is_ok));
         assert!(dels_b.iter().all(Delivery::is_ok));
+    }
+
+    /// The outcome of `receiver`'s copy in a completed frame.
+    fn outcome_at(dels: &[Delivery], receiver: u32) -> RxOutcome {
+        dels.iter()
+            .find(|d| d.receiver == NodeId(receiver))
+            .map(|d| d.outcome)
+            .unwrap_or_else(|| panic!("node {receiver} got no copy"))
+    }
+
+    #[test]
+    fn three_overlapping_frames_with_the_middle_one_completing_first() {
+        let mut m = line_medium(0.0);
+        let mut rng = SimRng::new(1);
+        // Node 2 (x=4) hears all three: A from node 0 (0-10 ms), B from
+        // node 4 (1-3 ms, a short frame) and C from node 3 (5-15 ms).
+        let tx_a = m.start_broadcast(SimTime::ZERO, NodeId(0), 5.0, 25, &mut rng);
+        let tx_b = m.start_broadcast(t(1), NodeId(4), 5.0, 5, &mut rng);
+        assert_eq!(tx_b.end, t(3));
+        let dels_b = m.complete(tx_b.id);
+        assert_eq!(outcome_at(&dels_b, 2), RxOutcome::Collision);
+        // Node 5 (x=10) heard only B.
+        assert_eq!(outcome_at(&dels_b, 5), RxOutcome::Ok);
+        // B is gone, but A is still arriving at node 2: C collides there.
+        let tx_c = m.start_broadcast(t(5), NodeId(3), 3.0, 25, &mut rng);
+        let dels_a = m.complete(tx_a.id);
+        assert_eq!(outcome_at(&dels_a, 2), RxOutcome::Collision);
+        // Node 1 (x=2) heard only A.
+        assert_eq!(outcome_at(&dels_a, 1), RxOutcome::Ok);
+        let dels_c = m.complete(tx_c.id);
+        assert_eq!(outcome_at(&dels_c, 2), RxOutcome::Collision);
+        // Node 4 (x=8) sent B, but B completed before C began: intact.
+        assert_eq!(outcome_at(&dels_c, 4), RxOutcome::Ok);
+        assert_eq!(m.stats().collisions, 3);
+        // Every arrival was released: a fresh frame is heard intact.
+        let tx_d = m.start_broadcast(tx_c.end, NodeId(0), 5.0, 25, &mut rng);
+        assert!(m.complete(tx_d.id).iter().all(Delivery::is_ok));
+    }
+
+    #[test]
+    fn receiver_that_starts_transmitting_mid_reception_loses_the_frame() {
+        let mut m = line_medium(0.0);
+        let mut rng = SimRng::new(1);
+        let tx_a = m.start_broadcast(SimTime::ZERO, NodeId(0), 5.0, 25, &mut rng);
+        // Node 1 (x=2) keys up at 4 ms with a range that reaches nobody.
+        let tx_own = m.start_broadcast(t(4), NodeId(1), 1.0, 25, &mut rng);
+        let dels_a = m.complete(tx_a.id);
+        assert_eq!(outcome_at(&dels_a, 1), RxOutcome::Collision);
+        assert_eq!(outcome_at(&dels_a, 2), RxOutcome::Ok);
+        assert!(m.complete(tx_own.id).is_empty());
+        // Once its own frame is done, node 1 hears again.
+        let tx_b = m.start_broadcast(tx_own.end, NodeId(0), 5.0, 25, &mut rng);
+        assert_eq!(outcome_at(&m.complete(tx_b.id), 1), RxOutcome::Ok);
+        assert_eq!(m.stats().collisions, 1);
+    }
+
+    #[test]
+    fn frame_beginning_at_the_instant_another_ends_follows_call_order() {
+        // Completion first: the two frames never coexist at node 1.
+        let mut m = line_medium(0.0);
+        let mut rng = SimRng::new(1);
+        let tx_a = m.start_broadcast(SimTime::ZERO, NodeId(0), 3.0, 25, &mut rng);
+        assert_eq!(outcome_at(&m.complete(tx_a.id), 1), RxOutcome::Ok);
+        let tx_b = m.start_broadcast(tx_a.end, NodeId(2), 3.0, 25, &mut rng);
+        assert_eq!(outcome_at(&m.complete(tx_b.id), 1), RxOutcome::Ok);
+        assert_eq!(m.stats().collisions, 0);
+
+        // Start first: A is still arriving at node 1 when B begins, so
+        // both copies there are lost — completion is what ends a frame.
+        let mut m = line_medium(0.0);
+        let tx_a = m.start_broadcast(SimTime::ZERO, NodeId(0), 3.0, 25, &mut rng);
+        let tx_b = m.start_broadcast(tx_a.end, NodeId(2), 3.0, 25, &mut rng);
+        assert_eq!(outcome_at(&m.complete(tx_a.id), 1), RxOutcome::Collision);
+        assert_eq!(outcome_at(&m.complete(tx_b.id), 1), RxOutcome::Collision);
+        assert_eq!(m.stats().collisions, 2);
+    }
+
+    #[test]
+    fn complete_listening_writes_only_intact_copies_at_listeners() {
+        let mut m = line_medium(0.0);
+        let mut rng = SimRng::new(1);
+        let mut buf = Vec::new();
+        // A and B overlap at node 1; node 3 hears B alone.
+        let tx_a = m.start_broadcast(SimTime::ZERO, NodeId(0), 3.0, 25, &mut rng);
+        let tx_b = m.start_broadcast(t(1), NodeId(2), 3.0, 25, &mut rng);
+        m.complete_listening(tx_a.id, |_| true, &mut buf);
+        assert!(buf.is_empty(), "the only copy of A collided: {buf:?}");
+        m.complete_listening(tx_b.id, |rx| rx != 3, &mut buf);
+        assert!(
+            buf.is_empty(),
+            "node 1 collided and node 3 is deaf: {buf:?}"
+        );
+        // Every outcome was still counted.
+        assert_eq!(m.stats().collisions, 2);
+        assert_eq!(m.stats().deliveries_ok, 1);
+        // An intact copy at a listener is written, with its link.
+        let tx_c = m.start_broadcast(tx_b.end, NodeId(2), 3.0, 25, &mut rng);
+        m.complete_listening(tx_c.id, |rx| rx == 3, &mut buf);
+        assert_eq!(buf.len(), 1);
+        assert_eq!(buf[0].receiver, NodeId(3));
+        assert_eq!(buf[0].info.distance, 2.0);
+        assert!(buf[0].is_ok());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! [`Medium`](crate::Medium) in the most obvious way possible: it remembers
 //! every transmission forever and decides collisions at completion time by an
 //! O(n²) scan for overlapping transmission intervals, instead of maintaining
-//! incremental per-node arrival lists and corruption flags. Property tests
+//! per-node arrival counters and overlap epochs. Property tests
 //! drive both implementations through identical schedules and require
 //! identical deliveries, so a bookkeeping bug in the optimized dense-storage
 //! medium cannot hide.

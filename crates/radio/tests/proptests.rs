@@ -282,6 +282,54 @@ proptest! {
         }
     }
 
+    /// `complete_listening` is `complete_into` filtered to intact copies at
+    /// listening receivers: two identically driven media, one completing
+    /// each frame through each call, agree on every kept delivery and on
+    /// every counter.
+    #[test]
+    fn complete_listening_is_complete_into_filtered(
+        positions in arb_positions(30),
+        schedule in prop::collection::vec((0u64..60, 0usize..30, 0usize..3), 1..30),
+        listening_mask in any::<u64>(),
+        loss in 0.0f64..0.4,
+        seed in any::<u64>(),
+    ) {
+        let field = Field::new(50.0, 50.0);
+        let classes = [8.0, 12.0];
+        let mut full = Medium::with_range_classes(field, &positions, Disc, 20_000, loss, &classes);
+        let mut listen = Medium::with_range_classes(field, &positions, Disc, 20_000, loss, &classes);
+        let mut rng_full = SimRng::new(seed);
+        let mut rng_listen = SimRng::new(seed);
+        let listening = |rx: usize| listening_mask & (1 << (rx % 64)) != 0;
+        let mut sorted = schedule.clone();
+        sorted.sort_by_key(|&(ms, ..)| ms);
+        // Overlapping frames, completed in reverse start order so copies
+        // of different frames interleave at shared receivers.
+        let mut pending = Vec::new();
+        for &(ms, sender, pick) in &sorted {
+            let sender = NodeId((sender % positions.len()) as u32);
+            // Two declared classes (fast path) and one unclassified range.
+            let range = [8.0, 12.0, 6.5][pick];
+            let now = SimTime::from_nanos(ms * 1_000_000);
+            let a = full.start_broadcast(now, sender, range, 25, &mut rng_full);
+            let b = listen.start_broadcast(now, sender, range, 25, &mut rng_listen);
+            prop_assert_eq!(a.id, b.id);
+            pending.push(a.id);
+        }
+        let (mut all, mut kept) = (Vec::new(), Vec::new());
+        for id in pending.into_iter().rev() {
+            full.complete_into(id, &mut all);
+            listen.complete_listening(id, listening, &mut kept);
+            let want: Vec<_> = all
+                .iter()
+                .filter(|d| d.is_ok() && listening(d.receiver.index()))
+                .copied()
+                .collect();
+            prop_assert_eq!(&kept, &want);
+        }
+        prop_assert_eq!(full.stats(), listen.stats());
+    }
+
     /// Shadowed links: symmetric, deterministic, and positive.
     #[test]
     fn shadowing_invariants(seed in any::<u64>(), a in 0u32..1_000, b in 0u32..1_000, dist in 0.1f64..50.0) {

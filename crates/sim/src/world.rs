@@ -264,10 +264,13 @@ pub struct World {
     source_idx: usize,
     sink_idx: usize,
     infra_tx_busy: [SimTime; 2],
-    /// In-flight transmissions indexed by [`TxId::slot`].
-    in_flight: Vec<Option<(TxId, u32, Payload)>>,
-    /// Reused delivery buffer for [`Medium::complete_into`].
+    /// In-flight transmissions indexed by [`TxId::slot`]: handle, sender,
+    /// payload and airtime.
+    in_flight: Vec<Option<(TxId, u32, Payload, SimDuration)>>,
+    /// Reused delivery buffer for [`Medium::complete_listening`].
     deliveries_buf: Vec<Delivery>,
+    /// Reused action buffer for [`PeasNode::on_input_into`].
+    actions_buf: Vec<PeasAction>,
     coverage: CoverageGrid,
     /// Precomputed sensor→cell coverage rows: one Working transition is a
     /// pure counter walk over the node's row (exactly what rasterizing its
@@ -477,6 +480,7 @@ impl World {
             infra_tx_busy: [SimTime::ZERO; 2],
             in_flight: Vec::new(),
             deliveries_buf: Vec::new(),
+            actions_buf: Vec::new(),
             #[cfg(debug_assertions)]
             coverage_buf: Vec::new(),
             samples: Vec::new(),
@@ -790,7 +794,9 @@ impl World {
         let was_working = mode_before == Mode::Working;
         let wakeups_before = self.nodes.peas[idx].stats().wakeups;
         // Split borrows: the PEAS machines and RNG streams are separate lanes.
-        let actions = self.nodes.peas[idx].on_input(now, input, &mut self.nodes.rng[idx]);
+        let mut actions = std::mem::take(&mut self.actions_buf);
+        actions.clear();
+        self.nodes.peas[idx].on_input_into(now, input, &mut self.nodes.rng[idx], &mut actions);
         self.total_wakeups += self.nodes.peas[idx].stats().wakeups - wakeups_before;
         let mode_after = self.nodes.peas[idx].mode();
         if mode_after != mode_before {
@@ -812,11 +818,12 @@ impl World {
                 grab.reset();
             }
         }
-        self.apply_peas_actions(now, idx, actions);
+        self.apply_peas_actions(now, idx, &actions);
+        self.actions_buf = actions;
     }
 
-    fn apply_peas_actions(&mut self, now: SimTime, idx: usize, actions: Vec<PeasAction>) {
-        for action in actions {
+    fn apply_peas_actions(&mut self, now: SimTime, idx: usize, actions: &[PeasAction]) {
+        for &action in actions {
             match action {
                 PeasAction::Schedule { timer, after } => {
                     let id = self.sim.schedule_at(
@@ -892,7 +899,7 @@ impl World {
                 return; // node died or went to sleep since scheduling
             }
             // A relay that stopped working must not forward stale GRAB frames.
-            if matches!(payload, Payload::Grab(_)) && self.nodes.peas[idx].mode() != Mode::Working {
+            if matches!(payload, Payload::Grab(_)) && !self.is_working(idx) {
                 return;
             }
         }
@@ -962,22 +969,26 @@ impl World {
         if slot >= self.in_flight.len() {
             self.in_flight.resize(slot + 1, None);
         }
-        self.in_flight[slot] = Some((tx.id, node_u32(idx), payload));
+        self.in_flight[slot] = Some((tx.id, node_u32(idx), payload, tx.airtime));
         self.sim.schedule_at(tx.end, Event::TxDone { tx: tx.id });
     }
 
     fn on_tx_done(&mut self, now: SimTime, tx: TxId) {
-        let (id, sender, payload) = self.in_flight[tx.slot()]
+        let (id, sender, payload, airtime) = self.in_flight[tx.slot()]
             .take()
             // peas-lint: allow(r1-unchecked-panic) -- every TxDone is scheduled by try_send right after filling this slot
             .expect("TxDone for unknown transmission");
         assert_eq!(id, tx, "TxDone for unknown transmission");
         let mut deliveries = std::mem::take(&mut self.deliveries_buf);
-        self.medium.complete_into(tx, &mut deliveries);
+        // Only intact copies at a powered radio are acted on. The
+        // infrastructure nodes sit above the sensors and always listen.
+        // Dispatching one copy never changes another receiver's radio, so
+        // filtering up front is the same as checking each copy in turn.
+        let (sensors, awake) = (self.cfg.node_count, &self.awake);
+        self.medium
+            .complete_listening(tx, |rx| rx >= sensors || awake[rx], &mut deliveries);
         for d in &deliveries {
-            if d.is_ok() {
-                self.dispatch_rx(now, d.receiver.index(), sender, payload, d.info);
-            }
+            self.dispatch_rx(now, d.receiver.index(), sender, payload, airtime, d.info);
         }
         self.deliveries_buf = deliveries;
     }
@@ -988,6 +999,7 @@ impl World {
         rx: usize,
         sender: u32,
         payload: Payload,
+        airtime: SimDuration,
         info: RxInfo,
     ) {
         if rx == self.sink_idx {
@@ -1009,15 +1021,12 @@ impl World {
             }
             return;
         }
-        if !self.awake[rx] {
-            return; // radio powered down; the frame fell on deaf ears
-        }
+        debug_assert!(self.awake[rx], "copy dispatched to a powered-down radio");
         self.account(rx, now);
         if !self.nodes.alive[rx] {
             return;
         }
         // Reattribute one frame-time of baseline as reception energy.
-        let airtime = peas_radio::airtime(self.payload_size(&payload), self.cfg.bitrate_bps);
         let rx_cause = match payload {
             Payload::Peas(_) => EnergyCause::ProtocolRx,
             Payload::Grab(_) => EnergyCause::AppRx,
@@ -1051,7 +1060,7 @@ impl World {
                 );
             }
             Payload::Grab(gmsg) => {
-                if self.nodes.peas[rx].mode() != Mode::Working {
+                if !self.is_working(rx) {
                     return; // only working nodes relay data
                 }
                 let outgoing = {
@@ -1275,7 +1284,21 @@ impl World {
         if dur.is_zero() {
             return;
         }
-        let (mw, cause) = match self.nodes.peas[idx].mode() {
+        // An alive sensor's mode, read from the flat lanes instead of the
+        // fat PEAS machine: working, else awake (probing), else asleep.
+        let mode = if self.is_working(idx) {
+            Mode::Working
+        } else if self.awake[idx] {
+            Mode::Probing
+        } else {
+            Mode::Sleeping
+        };
+        debug_assert_eq!(
+            mode,
+            self.nodes.peas[idx].mode(),
+            "mode lanes out of sync with sensor {idx}"
+        );
+        let (mw, cause) = match mode {
             Mode::Sleeping => (power.sleep_mw, EnergyCause::Sleep),
             Mode::Probing => (power.idle_mw, EnergyCause::ProtocolIdle),
             Mode::Working => (power.idle_mw, EnergyCause::WorkingIdle),
@@ -1286,6 +1309,18 @@ impl World {
         if !alive {
             self.kill(now, idx, DeathCause::Energy);
         }
+    }
+
+    /// Whether sensor `idx` is Working, read from the `working_slot` lane
+    /// (debug builds cross-check it against the PEAS machine).
+    fn is_working(&self, idx: usize) -> bool {
+        let working = self.working_slot[idx] != NOT_WORKING;
+        debug_assert_eq!(
+            working,
+            self.nodes.peas[idx].mode() == Mode::Working,
+            "working_slot out of sync with sensor {idx}"
+        );
+        working
     }
 
     /// Keeps the incremental working set and mode census in step with one

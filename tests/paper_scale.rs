@@ -1,6 +1,7 @@
 //! Paper-scale acceptance tests: full Section 5 scenarios asserting the
-//! quantitative bands EXPERIMENTS.md documents. These take tens of seconds
-//! each in release mode, so they are `#[ignore]`d by default:
+//! quantitative bands EXPERIMENTS.md documents. The five together take a
+//! few seconds in release mode, but far longer in a debug build, so they
+//! are `#[ignore]`d by default and CI runs them in release:
 //!
 //! ```text
 //! cargo test --release --test paper_scale -- --ignored
