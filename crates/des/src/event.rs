@@ -132,6 +132,7 @@ struct PendingBits {
 }
 
 impl PendingBits {
+    #[inline]
     fn insert(&mut self, id: u64) {
         let (w, mask) = ((id / 64) as usize, 1u64 << (id % 64));
         if w >= self.words.len() {
@@ -143,6 +144,7 @@ impl PendingBits {
     }
 
     /// Clears the bit; `true` if it was set.
+    #[inline]
     fn remove(&mut self, id: u64) -> bool {
         let (w, mask) = ((id / 64) as usize, 1u64 << (id % 64));
         match self.words.get_mut(w) {
@@ -155,6 +157,7 @@ impl PendingBits {
         }
     }
 
+    #[inline]
     fn contains(&self, id: u64) -> bool {
         self.words
             .get((id / 64) as usize)

@@ -17,6 +17,9 @@
 //!   per-event work amortized O(1).
 //! * **bottom** — a small vector sorted descending by `(time, seq)`;
 //!   popping the earliest pending event is `Vec::pop` off its end.
+//!   Near-now events (a frame's end, a send retry) belong next to that
+//!   end, so an insert gallops back from the tail and bisects only the
+//!   run it brackets instead of the whole vector.
 //!
 //! ## Determinism
 //!
@@ -194,8 +197,30 @@ impl<E> LadderCore<E> {
                 return;
             }
         }
-        let pos = self.bottom.partition_point(|s| s.key() > slot.key());
+        let pos = self.bottom_position(slot.key());
         self.bottom.insert(pos, slot);
+    }
+
+    /// Where `key` goes in the descending `bottom`: the count of entries
+    /// with a larger key. Near-now keys belong next to the tail, so the
+    /// search gallops back from it — probing 1, 2, 4, … entries in — and
+    /// bisects only the run it brackets: O(log d) for a key `d` entries
+    /// from the tail, and never worse than O(log n).
+    fn bottom_position(&self, key: (u64, u64)) -> usize {
+        let bottom = &self.bottom;
+        // Every entry at or past `hi` has a key no larger than `key`.
+        let mut hi = bottom.len();
+        let mut step = 1;
+        while hi > 0 {
+            let probe = hi.saturating_sub(step);
+            if bottom[probe].key() > key {
+                let lo = probe + 1;
+                return lo + bottom[lo..hi].partition_point(|s| s.key() > key);
+            }
+            hi = probe;
+            step *= 2;
+        }
+        0
     }
 
     /// Removes and returns the globally earliest entry (tombstones
@@ -502,6 +527,112 @@ mod tests {
         core.push(3, 1, ());
         assert_eq!(core.top.len(), 1);
         assert_eq!(core.peek_key(), Some((3, 1)));
+    }
+
+    /// A ladder and the heap reference fed identical pushes (with dense,
+    /// rising `seq`s, as the facade issues them); every pop must agree.
+    struct Twin {
+        ladder: LadderCore<u64>,
+        heap: crate::heap_ref::HeapCore<u64>,
+        seq: u64,
+    }
+
+    impl Twin {
+        /// `count` keys at `first, first + step, …`, flushed into the
+        /// sorted bottom by popping the earliest of them.
+        fn with_bottom(first: u64, step: u64, count: u64) -> Twin {
+            let mut twin = Twin {
+                ladder: LadderCore::default(),
+                heap: crate::heap_ref::HeapCore::default(),
+                seq: 0,
+            };
+            for i in 0..count {
+                twin.push(first + i * step);
+            }
+            twin.pop();
+            assert!(twin.ladder.rungs.is_empty() && twin.ladder.top.is_empty());
+            assert_eq!(twin.ladder.bottom.len() as u64, count - 1);
+            twin
+        }
+
+        fn push(&mut self, time: u64) {
+            self.ladder.push(time, self.seq, self.seq);
+            self.heap.push(time, self.seq, self.seq);
+            self.seq += 1;
+        }
+
+        fn pop(&mut self) -> Option<(u64, u64, u64)> {
+            let got = self.ladder.pop();
+            assert_eq!(got, self.heap.pop());
+            got
+        }
+
+        fn assert_bottom_sorted(&self) {
+            let keys: Vec<_> = self.ladder.bottom.iter().map(Slot::key).collect();
+            assert!(keys.windows(2).all(|w| w[0] > w[1]), "{keys:?}");
+        }
+
+        fn drain(mut self) {
+            self.assert_bottom_sorted();
+            while self.pop().is_some() {}
+        }
+    }
+
+    #[test]
+    fn bottom_insert_at_the_tail_pops_next() {
+        let mut twin = Twin::with_bottom(100, 100, 40);
+        twin.push(150);
+        assert_eq!(twin.ladder.bottom.last().map(Slot::key), Some((150, 40)));
+        assert_eq!(twin.pop(), Some((150, 40, 40)));
+        twin.drain();
+    }
+
+    #[test]
+    fn bottom_insert_at_the_head_pops_last() {
+        let mut twin = Twin::with_bottom(100, 100, 40);
+        // Just below `top_start` (one past the largest flushed time).
+        twin.push(4_000);
+        assert_eq!(twin.ladder.bottom.first().map(Slot::key), Some((4_000, 40)));
+        twin.drain();
+    }
+
+    #[test]
+    fn bottom_insert_in_the_middle_keeps_order() {
+        let mut twin = Twin::with_bottom(100, 100, 40);
+        for t in [2_050, 950, 3_333, 101, 2_051] {
+            twin.push(t);
+            twin.assert_bottom_sorted();
+        }
+        twin.drain();
+    }
+
+    #[test]
+    fn bottom_inserts_at_equal_times_pop_by_rising_seq() {
+        let mut twin = Twin::with_bottom(100, 100, 40);
+        // Ties with an existing key and with each other, near the tail,
+        // the middle and the head.
+        for t in [200, 200, 2_000, 2_000, 2_000, 4_000, 4_000] {
+            twin.push(t);
+            twin.assert_bottom_sorted();
+        }
+        twin.drain();
+    }
+
+    #[test]
+    fn bottom_insert_at_the_limit_spills_into_a_rung() {
+        let mut twin = Twin::with_bottom(1_000, 10, SORT_THRESHOLD as u64);
+        let mut t = 1_001;
+        while twin.ladder.bottom.len() < BOTTOM_LIMIT {
+            twin.push(t);
+            t += 7;
+        }
+        assert!(twin.ladder.rungs.is_empty());
+        // The insert that finds the bottom full re-buckets it.
+        twin.push(1_003);
+        assert!(twin.ladder.bottom.is_empty());
+        assert_eq!(twin.ladder.rungs.len(), 1);
+        assert_eq!(twin.ladder.len, BOTTOM_LIMIT + 1);
+        twin.drain();
     }
 
     #[test]

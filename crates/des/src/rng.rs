@@ -78,7 +78,25 @@ impl SimRng {
     }
 
     /// Next raw 64-bit output.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
+        self.step()
+    }
+
+    /// Advances the stream by exactly `n` raw outputs, discarding them:
+    /// afterwards the generator is where `n` calls of
+    /// [`SimRng::next_u64`] would have left it.
+    #[inline]
+    pub fn advance(&mut self, n: u64) {
+        for _ in 0..n {
+            self.step();
+        }
+    }
+
+    /// One xoshiro256++ transition, returning the output of the state it
+    /// leaves; the only code that moves the stream.
+    #[inline]
+    fn step(&mut self) -> u64 {
         let result = self.s[0]
             .wrapping_add(self.s[3])
             .rotate_left(23)
@@ -116,6 +134,7 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if `n == 0`.
+    #[inline]
     pub fn below(&mut self, n: u64) -> u64 {
         assert!(n > 0, "below(0) is meaningless");
         // Lemire's widening-multiply method: accept iff the low half clears
@@ -173,6 +192,7 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if `lo > hi`.
+    #[inline]
     pub fn range_duration(&mut self, lo: SimDuration, hi: SimDuration) -> SimDuration {
         assert!(lo <= hi, "invalid duration range");
         let span = hi.as_nanos() - lo.as_nanos();

@@ -68,6 +68,7 @@ impl SimTime {
     }
 
     /// This instant expressed in seconds (lossy above 2^53 ns).
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / NANOS_PER_SEC as f64
     }
@@ -78,6 +79,7 @@ impl SimTime {
     }
 
     /// The span from `earlier` to `self`, or zero if `earlier` is later.
+    #[inline]
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
@@ -88,11 +90,13 @@ impl SimTime {
     }
 
     /// Returns the later of the two instants.
+    #[inline]
     pub fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
     }
 
     /// Returns the earlier of the two instants.
+    #[inline]
     pub fn min(self, other: SimTime) -> SimTime {
         SimTime(self.0.min(other.0))
     }
@@ -134,6 +138,7 @@ impl SimDuration {
     }
 
     /// This span expressed in seconds (lossy above 2^53 ns).
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / NANOS_PER_SEC as f64
     }
@@ -187,6 +192,7 @@ fn secs_to_nanos(secs: f64) -> u64 {
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(rhs.0))
     }

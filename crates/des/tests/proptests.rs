@@ -171,6 +171,59 @@ proptest! {
         prop_assert_eq!(heap, ladder);
     }
 
+    /// Differential on the near-now mix a simulation produces: every push
+    /// lands at most a few microseconds after the last popped key (often
+    /// at it), so inserts cluster at the sorted bottom's tail, with rare
+    /// far pushes keeping rungs and the top in play.
+    #[test]
+    fn ladder_matches_heap_on_near_now_inserts(
+        ops in prop::collection::vec((0u32..8, 0u64..4), 1..600),
+    ) {
+        fn drive<C: QueueCore<u32> + Default>(ops: &[(u32, u64)]) -> Vec<(u64, u64)> {
+            let mut q: EventQueue<u32, C> = EventQueue::new();
+            let mut now = 0u64;
+            let mut out = Vec::new();
+            for (step, &(kind, jitter)) in ops.iter().enumerate() {
+                let ahead = match kind {
+                    0 | 1 => match q.pop() {
+                        Some(f) => {
+                            now = f.time.as_nanos();
+                            out.push((now, u64::from(f.payload)));
+                            continue;
+                        }
+                        None => 0,
+                    },
+                    2 => 0,
+                    3 => jitter,
+                    4 | 5 => 1 + jitter * 1_000,
+                    6 => 10_000 + jitter * 3_000,
+                    _ => 1_000_000 * (1 + jitter),
+                };
+                q.schedule(SimTime::from_nanos(now + ahead), step as u32);
+            }
+            while let Some(f) = q.pop() {
+                out.push((f.time.as_nanos(), u64::from(f.payload)));
+            }
+            out
+        }
+        let heap = drive::<peas_des::heap_ref::HeapCore<u32>>(&ops);
+        let ladder = drive::<peas_des::ladder::LadderCore<u32>>(&ops);
+        prop_assert_eq!(heap, ladder);
+    }
+
+    /// `advance(n)` leaves the generator exactly where `n` raw draws do.
+    #[test]
+    fn advance_matches_repeated_next_u64(seed in any::<u64>(), n in 0u64..300) {
+        let mut skipped = SimRng::new(seed);
+        let mut drawn = SimRng::new(seed);
+        skipped.advance(n);
+        for _ in 0..n {
+            drawn.next_u64();
+        }
+        let next = |rng: &mut SimRng| [rng.next_u64(), rng.next_u64(), rng.next_u64(), rng.next_u64()];
+        prop_assert_eq!(next(&mut skipped), next(&mut drawn));
+    }
+
     /// A simulator run over a random schedule is a pure function of its
     /// inputs (replaying produces the identical trace).
     #[test]

@@ -53,6 +53,7 @@ impl EnergyCause {
         )
     }
 
+    #[inline]
     fn index(self) -> usize {
         match self {
             EnergyCause::ProtocolTx => 0,
@@ -109,6 +110,7 @@ impl EnergyLedger {
     /// # Panics
     ///
     /// Panics if `joules` is negative or not finite.
+    #[inline]
     pub fn add(&mut self, cause: EnergyCause, joules: f64) {
         assert!(
             joules.is_finite() && joules >= 0.0,
@@ -220,6 +222,7 @@ impl Battery {
     /// # Panics
     ///
     /// Panics if `joules` is negative or not finite.
+    #[inline]
     pub fn drain(&mut self, joules: f64) -> bool {
         assert!(
             joules.is_finite() && joules >= 0.0,
@@ -236,10 +239,10 @@ impl Battery {
     }
 
     /// Convenience: drains energy for holding `profile_mw` over `d` and
-    /// records it in `ledger` under `cause`. Only the energy the battery
-    /// actually held is recorded — a dying node cannot spend more than it
-    /// has, so ledgers always balance battery consumption exactly.
+    /// records it in `ledger` under `cause`, exactly as
+    /// [`Battery::drain_j`] of [`PowerProfile::energy_j`]`(profile_mw, d)`.
     /// Returns `true` while alive.
+    #[inline]
     pub fn drain_timed(
         &mut self,
         profile_mw: f64,
@@ -247,9 +250,25 @@ impl Battery {
         cause: EnergyCause,
         ledger: &mut EnergyLedger,
     ) -> bool {
-        let j = PowerProfile::energy_j(profile_mw, d);
-        ledger.add(cause, j.min(self.remaining_j));
-        self.drain(j)
+        self.drain_j(PowerProfile::energy_j(profile_mw, d), cause, ledger)
+    }
+
+    /// Drains `joules` and records them in `ledger` under `cause`. Only
+    /// the energy the battery actually held is recorded — a dying node
+    /// cannot spend more than it has, so ledgers always balance battery
+    /// consumption exactly. Returns `true` while alive.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `joules` is negative or not finite.
+    #[inline]
+    pub fn drain_j(&mut self, joules: f64, cause: EnergyCause, ledger: &mut EnergyLedger) -> bool {
+        // `remaining_j` is always finite and non-negative, so once `drain`
+        // has checked `joules` the recorded share needs no check of its own.
+        let held = joules.min(self.remaining_j);
+        let alive = self.drain(joules);
+        ledger.by_cause[cause.index()] += held;
+        alive
     }
 }
 
@@ -344,6 +363,41 @@ mod tests {
         assert_eq!(b.remaining_j(), 0.0);
         assert!((l.total_j() - 0.5).abs() < 1e-12);
         assert!((l.total_j() - b.consumed_j()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn drain_j_of_energy_j_is_bit_identical_to_drain_timed() {
+        // A live battery, one this charge depletes, and a zero-length
+        // charge, each from a fresh and from an already-used ledger.
+        let cases = [
+            (10.0, 12.0, SimDuration::from_millis(10)),
+            (0.0005, 60.0, SimDuration::from_millis(10)),
+            (3.0, 12.0, SimDuration::ZERO),
+        ];
+        for (capacity, mw, d) in cases {
+            for cause in EnergyCause::ALL {
+                let mut timed = (Battery::new(capacity), EnergyLedger::new());
+                timed.1.add(EnergyCause::Sleep, 0.125);
+                let mut direct = timed.clone();
+                for _ in 0..3 {
+                    let a = timed.0.drain_timed(mw, d, cause, &mut timed.1);
+                    let j = PowerProfile::energy_j(mw, d);
+                    let b = direct.0.drain_j(j, cause, &mut direct.1);
+                    assert_eq!(a, b);
+                    assert_eq!(
+                        timed.0.remaining_j().to_bits(),
+                        direct.0.remaining_j().to_bits()
+                    );
+                    for c in EnergyCause::ALL {
+                        assert_eq!(
+                            timed.1.for_cause(c).to_bits(),
+                            direct.1.for_cause(c).to_bits(),
+                            "{c} after charging {cause} from {capacity} J"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

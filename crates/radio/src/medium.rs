@@ -23,7 +23,11 @@
 //! (bucket row-major, insertion order within a bucket); that draw order is
 //! part of the medium's determinism contract and is relied upon by the
 //! differential tests against the brute-force reference implementation
-//! (see `reference.rs`).
+//! (see `reference.rs`). At a loss rate of exactly 0 or 1 (every paper
+//! scenario runs at 0) a draw cannot change any outcome, so the medium
+//! skips the draws but still consumes one raw output per decodable
+//! receiver ([`SimRng::advance`]): the caller's stream ends where the
+//! draws would have left it.
 //!
 //! Collisions are decided by two `u32` counters per node instead of a list
 //! of the transmissions reaching it. `arriving` counts the transmissions
@@ -117,6 +121,17 @@ impl Delivery {
     }
 }
 
+/// Filler for the not-yet-written tail of a completion's output buffer;
+/// every slot below the final length is overwritten.
+const SPARE_DELIVERY: Delivery = Delivery {
+    receiver: NodeId(0),
+    info: RxInfo {
+        distance: 0.0,
+        effective_distance: 0.0,
+    },
+    outcome: RxOutcome::Ok,
+};
+
 /// Per-copy reception result.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RxOutcome {
@@ -179,9 +194,7 @@ impl NodeAir {
     /// epoch move and is corrupted with it.
     fn begin(&mut self) -> bool {
         let busy = self.arriving > 0;
-        if busy {
-            self.overlap_epoch = self.overlap_epoch.wrapping_add(1);
-        }
+        self.overlap_epoch = self.overlap_epoch.wrapping_add(u32::from(busy));
         self.arriving += 1;
         busy
     }
@@ -690,17 +703,25 @@ impl Medium {
             ..
         } = self;
         let s = &mut slots[slot as usize];
+        let rows = s.span.rows(tables, &s.rows);
+        // At a loss rate of exactly 0 or 1 no draw can change a copy's
+        // fate; only the stream position matters, so the generator skips
+        // ahead by one raw output per receiver instead of drawing.
+        let fixed = (*loss_rate == 0.0 || *loss_rate == 1.0).then_some(*loss_rate == 1.0);
+        if fixed.is_some() {
+            rng.advance(rows.len() as u64);
+        }
         s.copies.clear();
-        for row in s.span.rows(tables, &s.rows) {
-            let lost = rng.bernoulli(*loss_rate);
+        s.copies.extend(rows.iter().map(|row| {
+            let lost = fixed.unwrap_or_else(|| rng.bernoulli(*loss_rate));
             let node = &mut air[row.rx as usize];
             let corrupted = node.begin();
-            s.copies.push(RxCopy {
+            RxCopy {
                 epoch: node.overlap_epoch,
                 lost,
                 corrupted,
-            });
-        }
+            }
+        }));
         self.on_air.insert(sender_pos, reach, end, now);
         Transmission {
             id,
@@ -792,7 +813,7 @@ impl Medium {
     ) {
         self.finish(
             tx,
-            |rx, outcome| outcome == RxOutcome::Ok && listening(rx),
+            |rx, outcome| (outcome == RxOutcome::Ok) & listening(rx),
             out,
         );
     }
@@ -801,13 +822,23 @@ impl Medium {
     /// [`Medium::complete_listening`]: releases the transmission's
     /// arrivals, decides and counts every copy's outcome, and writes a
     /// [`Delivery`] for each copy `keep(receiver, outcome)` accepts.
+    ///
+    /// The loop is branch-free per copy: outcomes are tallied in locals
+    /// and added to the stats once, and every copy is written at a cursor
+    /// into presized `out` that only a kept copy advances.
     fn finish(
         &mut self,
         tx: TxId,
         keep: impl Fn(usize, RxOutcome) -> bool,
         out: &mut Vec<Delivery>,
     ) {
-        out.clear();
+        /// Outcome by `(collided, lost)` bits: a collision wins over loss.
+        const OUTCOMES: [RxOutcome; 4] = [
+            RxOutcome::Ok,
+            RxOutcome::RandomLoss,
+            RxOutcome::Collision,
+            RxOutcome::Collision,
+        ];
         let slot = tx.slot();
         let known = self
             .slots
@@ -827,31 +858,33 @@ impl Medium {
         } = self;
         let s = &mut slots[slot];
         air[s.sender.index()].arriving -= 1;
-        for (copy, row) in s.copies.iter().zip(s.span.rows(tables, &s.rows)) {
+        let rows = s.span.rows(tables, &s.rows);
+        debug_assert_eq!(rows.len(), s.copies.len());
+        out.resize(rows.len(), SPARE_DELIVERY);
+        let (mut kept, mut collided, mut lost) = (0, 0u64, 0u64);
+        for (copy, row) in s.copies.iter().zip(rows) {
             let rx = row.rx as usize;
             let node = &mut air[rx];
             node.arriving -= 1;
-            let outcome = if copy.corrupted || node.overlap_epoch != copy.epoch {
-                stats.collisions += 1;
-                RxOutcome::Collision
-            } else if copy.lost {
-                stats.random_losses += 1;
-                RxOutcome::RandomLoss
-            } else {
-                stats.deliveries_ok += 1;
-                RxOutcome::Ok
+            let collision = copy.corrupted | (node.overlap_epoch != copy.epoch);
+            let loss = !collision & copy.lost;
+            collided += u64::from(collision);
+            lost += u64::from(loss);
+            let outcome = OUTCOMES[(usize::from(collision) << 1) | usize::from(copy.lost)];
+            out[kept] = Delivery {
+                receiver: NodeId(row.rx),
+                info: RxInfo {
+                    distance: row.dist,
+                    effective_distance: row.eff,
+                },
+                outcome,
             };
-            if keep(rx, outcome) {
-                out.push(Delivery {
-                    receiver: NodeId(row.rx),
-                    info: RxInfo {
-                        distance: row.dist,
-                        effective_distance: row.eff,
-                    },
-                    outcome,
-                });
-            }
+            kept += usize::from(keep(rx, outcome));
         }
+        out.truncate(kept);
+        stats.collisions += collided;
+        stats.random_losses += lost;
+        stats.deliveries_ok += rows.len() as u64 - collided - lost;
         s.active = false;
         // peas-lint: allow(r3-unchecked-cast) -- slot round-trips through TxId's packed low u32
         free.push(slot as u32);

@@ -45,6 +45,7 @@ impl PowerProfile {
     }
 
     /// Energy in joules for drawing `mw` milliwatts over `d`.
+    #[inline]
     pub fn energy_j(mw: f64, d: SimDuration) -> f64 {
         mw * 1e-3 * d.as_secs_f64()
     }

@@ -282,6 +282,102 @@ proptest! {
         }
     }
 
+    /// Differential test at the two loss rates that fix every copy's fate,
+    /// 0 and 1, where the medium skips its per-copy draws and only
+    /// advances the caller's generator. The reference still draws once per
+    /// copy, so after every broadcast the two generators must give the
+    /// same next output; every completion must agree on its deliveries,
+    /// and the medium's counters on the reference's tallied outcomes.
+    #[test]
+    fn fixed_outcome_loss_matches_reference(
+        positions in arb_positions(25),
+        schedule in prop::collection::vec((0u64..150, 0usize..25, 0usize..3), 1..40),
+        certain_loss in any::<bool>(),
+        model_pick in 0u32..2,
+        model_seed in any::<u64>(),
+        rng_seed in any::<u64>(),
+    ) {
+        use peas_radio::reference::ReferenceMedium;
+        use peas_radio::{MediumStats, RxOutcome};
+
+        let loss = if certain_loss { 1.0 } else { 0.0 };
+        let field = Field::new(50.0, 50.0);
+        let spec = match model_pick {
+            0 => PropagationSpec::Disc,
+            _ => PropagationSpec::shadowed(model_seed),
+        };
+        let classes = [4.0, 10.0];
+        let mut medium = Medium::with_range_classes(
+            field, &positions, spec.build(), 20_000, loss, &classes,
+        );
+        let mut reference = ReferenceMedium::with_range_classes(
+            field, &positions, spec.build(), 20_000, loss, &classes,
+        );
+        let mut medium_rng = SimRng::new(rng_seed);
+        let mut reference_rng = SimRng::new(rng_seed);
+        let mut want_stats = MediumStats::default();
+
+        let mut starts: Vec<(SimTime, NodeId, f64)> = schedule
+            .iter()
+            .map(|&(ms, sender, pick)| {
+                (
+                    SimTime::from_nanos(ms * 1_000_000),
+                    NodeId((sender % positions.len()) as u32),
+                    // Both classes (fast path) and one unclassified range.
+                    [4.0, 10.0, 7.5][pick],
+                )
+            })
+            .collect();
+        starts.sort_by_key(|&(t, ..)| t);
+        let mut pending: Vec<(SimTime, peas_radio::TxId, peas_radio::reference::RefTxId)> =
+            Vec::new();
+        let mut next = 0usize;
+        loop {
+            let done = pending
+                .iter()
+                .enumerate()
+                .min_by_key(|&(_, &(end, ..))| end)
+                .map(|(i, &(end, ..))| (i, end));
+            let start = starts.get(next).map(|&(t, ..)| t);
+            // Punctual completion: at equal instants, completes run first.
+            let complete_now = match (done, start) {
+                (Some((_, end)), Some(s)) => end <= s,
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (None, None) => break,
+            };
+            if complete_now {
+                let (i, _) = done.unwrap();
+                let (_, tx, rtx) = pending.remove(i);
+                let got = medium.complete(tx);
+                let want = reference.complete(rtx);
+                for d in &want {
+                    match d.outcome {
+                        RxOutcome::Ok => want_stats.deliveries_ok += 1,
+                        RxOutcome::Collision => want_stats.collisions += 1,
+                        RxOutcome::RandomLoss => want_stats.random_losses += 1,
+                    }
+                }
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(medium.stats(), want_stats);
+            } else {
+                let (t, sender, range) = starts[next];
+                next += 1;
+                let tx = medium.start_broadcast(t, sender, range, 25, &mut medium_rng);
+                let (rtx, ref_end) =
+                    reference.start_broadcast(t, sender, range, 25, &mut reference_rng);
+                want_stats.frames_sent += 1;
+                prop_assert_eq!(tx.end, ref_end);
+                prop_assert_eq!(
+                    medium_rng.clone().next_u64(),
+                    reference_rng.clone().next_u64()
+                );
+                pending.push((tx.end, tx.id, rtx));
+            }
+        }
+        prop_assert_eq!(medium.stats(), want_stats);
+    }
+
     /// `complete_listening` is `complete_into` filtered to intact copies at
     /// listening receivers: two identically driven media, one completing
     /// each frame through each call, agree on every kept delivery and on

@@ -27,7 +27,9 @@ use peas::{
 use peas_des::prelude::*;
 use peas_geom::{CoverageCsr, CoverageGrid, Point};
 use peas_grab::{GrabMessage, GrabRelay, GrabSink, GrabSource};
-use peas_radio::{Battery, Delivery, EnergyCause, EnergyLedger, Medium, NodeId, RxInfo, TxId};
+use peas_radio::{
+    Battery, Delivery, EnergyCause, EnergyLedger, Medium, NodeId, PowerProfile, RxInfo, TxId,
+};
 
 use crate::config::ScenarioConfig;
 use crate::metrics::{RunReport, Sample};
@@ -204,24 +206,40 @@ impl TimerTable {
     }
 }
 
+/// One sensor's energy state: everything baseline accounting and the
+/// tx/rx charges read or write, in one 88-byte record.
+struct NodeEnergy {
+    battery: Battery,
+    ledger: EnergyLedger,
+    /// Start of the not-yet-accounted baseline interval.
+    last_account: SimTime,
+    /// Baseline already covered by tx/rx charges up to this instant.
+    baseline_paid_until: SimTime,
+}
+
+/// What each receiver of one frame pays: one frame-time of baseline,
+/// reattributed as reception energy.
+#[derive(Clone, Copy)]
+struct RxCharge {
+    joules: f64,
+    /// The receiver's baseline is covered through this instant.
+    paid_until: SimTime,
+}
+
 /// Struct-of-arrays storage for the per-sensor runtime state. One
-/// parallel vector per field keeps each event handler's working set
-/// dense — a timer fire touches the `alive`/`timers`/`battery` lanes
+/// parallel vector per concern keeps each event handler's working set
+/// dense — a timer fire touches the `alive`/`timers`/`energy` lanes
 /// without dragging the whole former `SensorRt` struct (PEAS machine,
-/// GRAB relay, ledger, RNG — several cache lines) through the cache.
+/// GRAB relay, RNG — several cache lines) through the cache. The energy
+/// fields share one lane because every charge touches all of them.
 struct NodeStore {
     peas: Vec<PeasNode>,
     /// GRAB relays: length `node_count` when the workload is enabled
     /// (the config enables it for all sensors or none), else empty.
     grab: Vec<GrabRelay>,
-    battery: Vec<Battery>,
-    ledger: Vec<EnergyLedger>,
+    energy: Vec<NodeEnergy>,
     rng: Vec<SimRng>,
     alive: Vec<bool>,
-    /// Start of the not-yet-accounted baseline interval.
-    last_account: Vec<SimTime>,
-    /// Baseline already covered by tx/rx charges up to this instant.
-    baseline_paid_until: Vec<SimTime>,
     /// The node's radio is transmitting until this instant.
     tx_busy_until: Vec<SimTime>,
     /// Pending timer events for every node.
@@ -290,8 +308,9 @@ pub struct World {
     /// Per sensor: its index in `working_nodes`, or [`NOT_WORKING`].
     working_slot: Vec<u32>,
     /// Per sensor: `alive && mode.is_awake()`, maintained on every mode
-    /// transition. The delivery hot path (~receivers × frames checks per
-    /// run) reads this one flat byte instead of chasing the fat
+    /// transition; then `true` for each GRAB infrastructure node, whose
+    /// radio always listens. The delivery hot path (~receivers × frames
+    /// checks per run) reads this one flat byte instead of chasing the fat
     /// [`SensorRt`] for a mode that rarely changed.
     awake: Vec<bool>,
     /// Alive sensors per mode, indexed by [`mode_rank`].
@@ -373,12 +392,9 @@ impl World {
         let mut nodes = NodeStore {
             peas: Vec::with_capacity(n),
             grab: Vec::with_capacity(if config.grab.is_some() { n } else { 0 }),
-            battery: Vec::with_capacity(n),
-            ledger: vec![EnergyLedger::new(); n],
+            energy: Vec::with_capacity(n),
             rng: Vec::with_capacity(n),
             alive: vec![true; n],
-            last_account: vec![SimTime::ZERO; n],
-            baseline_paid_until: vec![SimTime::ZERO; n],
             tx_busy_until: vec![SimTime::ZERO; n],
             timers: TimerTable::new(n, config.peas.probe_count as usize),
         };
@@ -389,9 +405,12 @@ impl World {
             if let Some(g) = &config.grab {
                 nodes.grab.push(GrabRelay::new(g.clone()));
             }
-            nodes
-                .battery
-                .push(Battery::new(config.battery.draw(&mut battery_rng)));
+            nodes.energy.push(NodeEnergy {
+                battery: Battery::new(config.battery.draw(&mut battery_rng)),
+                ledger: EnergyLedger::new(),
+                last_account: SimTime::ZERO,
+                baseline_paid_until: SimTime::ZERO,
+            });
             let mut rng = SimRng::stream(seed, 100 + i as u64);
             let actions = peas.start(&mut rng);
             for action in actions {
@@ -428,7 +447,8 @@ impl World {
         let mut working_nodes = Vec::new();
         let mut working_pos = Vec::new();
         let mut working_slot = vec![NOT_WORKING; config.node_count];
-        let mut awake = vec![false; config.node_count];
+        // The infrastructure entries past the sensors stay set for good.
+        let mut awake = vec![true; positions.len()];
         for (i, peas) in nodes.peas.iter().enumerate() {
             let mode = if nodes.alive[i] {
                 peas.mode()
@@ -720,8 +740,8 @@ impl World {
         let mut consumed = 0.0;
         for i in 0..self.nodes.len() {
             node_stats.merge(self.nodes.peas[i].stats());
-            ledger.merge(&self.nodes.ledger[i]);
-            consumed += self.nodes.battery[i].consumed_j();
+            ledger.merge(&self.nodes.energy[i].ledger);
+            consumed += self.nodes.energy[i].battery.consumed_j();
         }
         RunReport {
             node_count: self.cfg.node_count,
@@ -952,13 +972,11 @@ impl World {
                 Payload::Grab(_) => EnergyCause::AppTx,
             };
             if self.nodes.alive[idx] {
-                let alive = self.nodes.battery[idx].drain_timed(
-                    self.cfg.power.tx_mw,
-                    tx.airtime,
-                    cause,
-                    &mut self.nodes.ledger[idx],
-                );
-                self.nodes.baseline_paid_until[idx] = tx.end;
+                let e = &mut self.nodes.energy[idx];
+                let alive =
+                    e.battery
+                        .drain_timed(self.cfg.power.tx_mw, tx.airtime, cause, &mut e.ledger);
+                e.baseline_paid_until = tx.end;
                 self.nodes.tx_busy_until[idx] = tx.end;
                 if !alive {
                     self.kill(now, idx, DeathCause::Energy);
@@ -980,15 +998,20 @@ impl World {
             .expect("TxDone for unknown transmission");
         assert_eq!(id, tx, "TxDone for unknown transmission");
         let mut deliveries = std::mem::take(&mut self.deliveries_buf);
-        // Only intact copies at a powered radio are acted on. The
-        // infrastructure nodes sit above the sensors and always listen.
-        // Dispatching one copy never changes another receiver's radio, so
-        // filtering up front is the same as checking each copy in turn.
-        let (sensors, awake) = (self.cfg.node_count, &self.awake);
+        // Only intact copies at a powered radio are acted on (the
+        // infrastructure entries of `awake` are always set). Dispatching
+        // one copy never changes another receiver's radio, so filtering up
+        // front is the same as checking each copy in turn.
+        let awake = &self.awake;
         self.medium
-            .complete_listening(tx, |rx| rx >= sensors || awake[rx], &mut deliveries);
+            .complete_listening(tx, |rx| awake[rx], &mut deliveries);
+        // Every receiver of this frame pays the same reception charge.
+        let charge = RxCharge {
+            joules: PowerProfile::energy_j(self.cfg.power.rx_mw, airtime),
+            paid_until: now + airtime,
+        };
         for d in &deliveries {
-            self.dispatch_rx(now, d.receiver.index(), sender, payload, airtime, d.info);
+            self.dispatch_rx(now, d.receiver.index(), sender, payload, charge, d.info);
         }
         self.deliveries_buf = deliveries;
     }
@@ -999,7 +1022,7 @@ impl World {
         rx: usize,
         sender: u32,
         payload: Payload,
-        airtime: SimDuration,
+        charge: RxCharge,
         info: RxInfo,
     ) {
         if rx == self.sink_idx {
@@ -1026,22 +1049,14 @@ impl World {
         if !self.nodes.alive[rx] {
             return;
         }
-        // Reattribute one frame-time of baseline as reception energy.
         let rx_cause = match payload {
             Payload::Peas(_) => EnergyCause::ProtocolRx,
             Payload::Grab(_) => EnergyCause::AppRx,
         };
         {
-            let alive = self.nodes.battery[rx].drain_timed(
-                self.cfg.power.rx_mw,
-                airtime,
-                rx_cause,
-                &mut self.nodes.ledger[rx],
-            );
-            let paid = now + airtime;
-            if paid > self.nodes.baseline_paid_until[rx] {
-                self.nodes.baseline_paid_until[rx] = paid;
-            }
+            let e = &mut self.nodes.energy[rx];
+            let alive = e.battery.drain_j(charge.joules, rx_cause, &mut e.ledger);
+            e.baseline_paid_until = e.baseline_paid_until.max(charge.paid_until);
             if !alive {
                 self.kill(now, rx, DeathCause::Energy);
                 return;
@@ -1270,16 +1285,11 @@ impl World {
     /// accounted, in its *current* mode. Call before any mode change.
     fn account(&mut self, idx: usize, now: SimTime) {
         let power = self.cfg.power;
-        if !self.nodes.alive[idx] {
-            self.nodes.last_account[idx] = now;
+        let start = std::mem::replace(&mut self.nodes.energy[idx].last_account, now);
+        if !self.nodes.alive[idx] || now <= start {
             return;
         }
-        let start = self.nodes.last_account[idx];
-        self.nodes.last_account[idx] = now;
-        if now <= start {
-            return;
-        }
-        let chargeable_from = start.max(self.nodes.baseline_paid_until[idx]);
+        let chargeable_from = start.max(self.nodes.energy[idx].baseline_paid_until);
         let dur = now.saturating_since(chargeable_from);
         if dur.is_zero() {
             return;
@@ -1304,8 +1314,8 @@ impl World {
             Mode::Working => (power.idle_mw, EnergyCause::WorkingIdle),
             Mode::Dead => return,
         };
-        let alive =
-            self.nodes.battery[idx].drain_timed(mw, dur, cause, &mut self.nodes.ledger[idx]);
+        let e = &mut self.nodes.energy[idx];
+        let alive = e.battery.drain_timed(mw, dur, cause, &mut e.ledger);
         if !alive {
             self.kill(now, idx, DeathCause::Energy);
         }
@@ -1496,6 +1506,15 @@ mod tests {
             "failures {}",
             report.failures_injected
         );
+    }
+
+    #[test]
+    fn energy_record_is_its_fields_without_padding() {
+        let fields = std::mem::size_of::<Battery>()
+            + std::mem::size_of::<EnergyLedger>()
+            + 2 * std::mem::size_of::<SimTime>();
+        assert_eq!(std::mem::size_of::<NodeEnergy>(), fields);
+        assert_eq!(fields, 88);
     }
 
     #[test]
